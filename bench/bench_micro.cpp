@@ -597,6 +597,75 @@ std::string json_concurrent_batch(std::uint32_t width,
   return os.str();
 }
 
+/// Single-threaded increment_batch on B(8) through both counter policies:
+/// the plain-counter SerialNetwork that backs each service shard and the
+/// atomic ConcurrentNetwork, at batch sizes 8 and 16. The two sides run in
+/// alternating rounds and keep their best rate. Ungated: no key of this
+/// row matches the --check ratio patterns.
+struct ShardNetworkRates {
+  static constexpr std::array<std::uint32_t, 2> kBatches = {8, 16};
+  std::array<double, 2> plain_tokens_per_sec{};
+  std::array<double, 2> atomic_tokens_per_sec{};
+
+  double ratio(std::size_t i) const {
+    return plain_tokens_per_sec[i] / atomic_tokens_per_sec[i];
+  }
+};
+
+template <typename Net>
+double measure_shard_network_round(const Network& topo, Net& net,
+                                   std::uint32_t k, double seconds) {
+  constexpr std::uint32_t kCalls = 4096;
+  std::array<Value, 16> out{};
+  return cn::bench::measure_rate(
+      static_cast<std::uint64_t>(kCalls) * k, seconds, [&] {
+        for (std::uint32_t c = 0; c < kCalls; ++c) {
+          net.increment_batch(c % topo.fan_in(), k, out.data());
+          benchmark::DoNotOptimize(out.data());
+          benchmark::ClobberMemory();
+        }
+      });
+}
+
+ShardNetworkRates measure_shard_network(double min_seconds) {
+  constexpr int kRounds = 4;
+  const Network topo = make_bitonic(8);
+  ShardNetworkRates r;
+  const double round_seconds = min_seconds / (kRounds * r.kBatches.size());
+  for (std::size_t i = 0; i < r.kBatches.size(); ++i) {
+    SerialNetwork plain(topo);
+    ConcurrentNetwork atomic(topo);
+    for (int round = 0; round < kRounds; ++round) {
+      r.plain_tokens_per_sec[i] = std::max(
+          r.plain_tokens_per_sec[i],
+          measure_shard_network_round(topo, plain, r.kBatches[i],
+                                      round_seconds));
+      r.atomic_tokens_per_sec[i] = std::max(
+          r.atomic_tokens_per_sec[i],
+          measure_shard_network_round(topo, atomic, r.kBatches[i],
+                                      round_seconds));
+    }
+  }
+  return r;
+}
+
+std::string json_shard_network(const ShardNetworkRates& r) {
+  std::ostringstream os;
+  os << std::setprecision(6);
+  os << "  \"shard_network_bitonic8\": {\n";
+  for (std::size_t i = 0; i < r.kBatches.size(); ++i) {
+    os << "    \"k_" << r.kBatches[i] << "\": {\n"
+       << "      \"plain_ns_per_token\": " << 1e9 / r.plain_tokens_per_sec[i]
+       << ",\n"
+       << "      \"atomic_ns_per_token\": "
+       << 1e9 / r.atomic_tokens_per_sec[i] << ",\n"
+       << "      \"atomic_to_plain_ns_ratio\": " << r.ratio(i) << "\n"
+       << "    }" << (i + 1 < r.kBatches.size() ? "," : "") << "\n";
+  }
+  os << "  }";
+  return os.str();
+}
+
 /// Accepted-request throughput of the sharded counting service under 8
 /// closed-loop clients: classic one-request submit/wait cycles vs
 /// submit_batch(16) on the batched ingress (one ticket-range draw, at
@@ -923,6 +992,7 @@ int json_main(const CliArgs& args) {
       measure_streaming_sweep(min_seconds, /*wave_exec=*/true);
   const ConcurrentBatchRates cb8 = measure_concurrent_batch(8, min_seconds);
   const ConcurrentBatchRates cb32 = measure_concurrent_batch(32, min_seconds);
+  const ShardNetworkRates sn = measure_shard_network(min_seconds);
   const ServiceIngressRates si = measure_service_ingress(min_seconds);
 
   std::ostringstream os;
@@ -966,6 +1036,7 @@ int json_main(const CliArgs& args) {
      << "  },\n"
      << json_concurrent_batch(8, cb8) << ",\n"
      << json_concurrent_batch(32, cb32) << ",\n"
+     << json_shard_network(sn) << ",\n"
      << json_service_ingress(si) << "\n"
      << "}\n";
 
@@ -1014,6 +1085,12 @@ int json_main(const CliArgs& args) {
             << "batch B(32) @8T: " << cb32.single_tokens_per_sec[2] / 1e6
             << "M single tokens/s, " << cb32.batch_tokens_per_sec[2] / 1e6
             << "M batched tokens/s (" << cb32.ratio(2) << "x)\n"
+            << "shard net B(8):  plain " << 1e9 / sn.plain_tokens_per_sec[0]
+            << " ns/token, atomic " << 1e9 / sn.atomic_tokens_per_sec[0]
+            << " ns/token at k=8 (" << sn.ratio(0) << "x); plain "
+            << 1e9 / sn.plain_tokens_per_sec[1] << ", atomic "
+            << 1e9 / sn.atomic_tokens_per_sec[1] << " at k=16 ("
+            << sn.ratio(1) << "x)\n"
             << "ingress B(8) @8C: " << si.single_req_per_sec / 1e3
             << "k single req/s, " << si.batched_req_per_sec / 1e3
             << "k batched req/s (" << si.batched_over_single()

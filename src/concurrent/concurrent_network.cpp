@@ -2,21 +2,16 @@
 
 namespace cn {
 
-ConcurrentNetwork::ConcurrentNetwork(const Network& net)
-    : net_(&net),
-      balancers_(net.num_balancers()),
-      counters_(net.fan_out()) {}
-
-Value* ConcurrentNetwork::run_batch(WireIndex wire, std::uint32_t k,
-                                    Value* out) noexcept {
+template <typename Counters>
+Value* MemoryNetwork<Counters>::run_batch(WireIndex wire, std::uint32_t k,
+                                          Value* out) noexcept {
   const Network& net = *net_;
   // Walk single-successor hops iteratively; recurse only at real splits.
   for (;;) {
     const Wire& w = net.wire(wire);
     if (w.to.kind != Endpoint::Kind::kBalancer) {
       const NodeIndex sink = w.to.index;
-      const std::uint64_t c =
-          counters_[sink].value.fetch_add(k, std::memory_order_acq_rel);
+      const std::uint64_t c = Counters::step_sink(counters_[sink], k);
       const std::uint64_t stride = net.fan_out();
       for (std::uint32_t i = 0; i < k; ++i) {
         *out++ = sink + (c + i) * stride;
@@ -26,8 +21,7 @@ Value* ConcurrentNetwork::run_batch(WireIndex wire, std::uint32_t k,
     const NodeIndex b = w.to.index;
     const Balancer& bal = net.balancer(b);
     const std::uint32_t f = bal.fan_out();
-    const std::uint64_t pos =
-        balancers_[b].value.fetch_add(k, std::memory_order_relaxed);
+    const std::uint64_t pos = Counters::step_balancer(balancers_[b], k);
     if (f == 1 || k == 1) {
       // Whole batch exits one port; no split, no recursion.
       wire = bal.out[pos % f];
@@ -50,24 +44,23 @@ Value* ConcurrentNetwork::run_batch(WireIndex wire, std::uint32_t k,
   }
 }
 
-void ConcurrentNetwork::increment_batch(std::uint32_t source, std::uint32_t k,
-                                        Value* out_values) noexcept {
-  if (k == 0) return;
-  run_batch(net_->source_wire(source), k, out_values);
-}
-
-std::vector<std::uint64_t> ConcurrentNetwork::sink_counts() const {
+template <typename Counters>
+std::vector<std::uint64_t> MemoryNetwork<Counters>::sink_counts() const {
   std::vector<std::uint64_t> counts(net_->fan_out());
   for (std::uint32_t j = 0; j < net_->fan_out(); ++j) {
-    counts[j] = counters_[j].value.load(std::memory_order_relaxed);
+    counts[j] = Counters::load(counters_[j]);
   }
   return counts;
 }
 
-std::uint64_t ConcurrentNetwork::total() const {
+template <typename Counters>
+std::uint64_t MemoryNetwork<Counters>::total() const {
   std::uint64_t sum = 0;
-  for (const std::uint64_t c : sink_counts()) sum += c;
+  for (const typename Counters::Word& c : counters_) sum += Counters::load(c);
   return sum;
 }
+
+template class MemoryNetwork<AtomicCounters>;
+template class MemoryNetwork<PlainCounters>;
 
 }  // namespace cn

@@ -160,7 +160,7 @@ void CountingService::install_epoch(std::uint32_t level) {
   ep->runtimes.reserve(n);
   for (std::uint32_t s = 0; s < n; ++s) {
     const Network& net = elastic ? *ep->parts[s].net : *cfg_.net;
-    ep->nets.push_back(std::make_unique<ConcurrentNetwork>(net));
+    ep->nets.push_back(std::make_unique<SerialNetwork>(net));
     ep->queues.push_back(
         std::make_unique<BoundedQueue<Request>>(cfg_.queue_capacity));
     auto rt = std::make_unique<ShardRuntime>();
@@ -362,7 +362,7 @@ CountingService::BatchResult CountingService::submit_batch(
 
 void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
   TopologyEpoch& ep = *epoch;
-  ConcurrentNetwork& net = *ep.nets[shard];
+  SerialNetwork& net = *ep.nets[shard];
   BoundedQueue<Request>& queue = *ep.queues[shard];
   ShardRuntime& rt = *ep.runtimes[shard];
 #if defined(__linux__)
@@ -830,6 +830,7 @@ void CountingService::retire_epoch() {
   LatencyHistogram epoch_latency;
   es.gap_free = true;
   es.shard_completed.reserve(ep.runtimes.size());
+  shard_totals_.clear();
   std::uint64_t max_batch_seen = 0;
   for (std::size_t s = 0; s < ep.runtimes.size(); ++s) {
     const ShardRuntime& rt = *ep.runtimes[s];
@@ -849,8 +850,11 @@ void CountingService::retire_epoch() {
     // is exactly how many local values 0..total-1 it handed out, so
     // total == completed(shard) means the class's completed global
     // values are contiguous multiples-plus-residue with precisely the
-    // accounted tickets missing.
-    if (ep.nets[s]->total() != done_here) es.gap_free = false;
+    // accounted tickets missing. The workers are joined, so this is the
+    // one place a shard network is read by a thread other than its
+    // writer; shard_total() serves the captured value.
+    shard_totals_.push_back(ep.nets[s]->total());
+    if (shard_totals_.back() != done_here) es.gap_free = false;
   }
   const std::uint64_t holes =
       es.tickets > es.completed ? es.tickets - es.completed : 0;
@@ -896,7 +900,7 @@ void CountingService::retire_epoch() {
   acc_.shard_completed = es.shard_completed;  // Final epoch's view wins.
   epoch_stats_.push_back(std::move(es));
   // The epoch object itself stays alive (epoch_) until the next install
-  // or destruction — shard_total() reads its quiescent network totals.
+  // or destruction.
 }
 
 std::string CountingService::resize(std::uint32_t level) {
@@ -967,8 +971,7 @@ std::vector<EpochStats> CountingService::epoch_history() const {
 
 std::uint64_t CountingService::shard_total(std::uint32_t shard) const {
   std::lock_guard<std::mutex> lock(fence_mu_);
-  if (!epoch_ || shard >= epoch_->nets.size()) return 0;
-  return epoch_->nets[shard]->total();
+  return shard < shard_totals_.size() ? shard_totals_[shard] : 0;
 }
 
 ResidueAudit CountingService::audit() const {

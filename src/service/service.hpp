@@ -1,4 +1,4 @@
-// Counting-as-a-service: N independent ConcurrentNetwork shards behind a
+// Counting-as-a-service: N independent shard networks behind a
 // residue-class router, each drained by a dedicated worker thread doing
 // adaptive batch formation — now SELF-HEALING: a supervisor thread
 // watches per-shard heartbeats, detects crashed or wedged workers,
@@ -56,9 +56,20 @@
 //
 // Each worker drains its shard's bounded MPSC queue up to max_batch
 // requests and shepherds them through the shard network with ONE
-// increment_batch call — the batched traversal costs ~1 atomic RMW per
-// balancer per batch instead of per token, which is where the service
-// throughput comes from.
+// increment_batch call — one counter step per balancer reached per batch
+// instead of per token.
+//
+// Single writer per shard network. A shard network is a SerialNetwork
+// (plain uint64_t counters, no atomic RMWs): only its shard's worker ever
+// writes it. The supervisor (and the fence's heal step) joins a dead
+// worker before spawning its successor on the same network, and the
+// quiescence fence joins every worker before it reads the networks'
+// totals (shard_total() returns the totals the fence captured). Each
+// handoff is therefore ordered by a thread join. The service's
+// scalability comes from Lemma 3.1 residue sharding, not from concurrent
+// traversal inside one network; what the shard network adds beyond a
+// fetch_add(k) is the within-batch value permutation, which is exactly
+// the F_nsc the consistency tee reports.
 //
 // Ingress batching (Lemma 3.1 again, at the entry point): submit_batch
 // draws ONE contiguous ticket range with a single fetch_add(n) and
@@ -88,8 +99,7 @@
 // merged by the issue key into the sink, which therefore sees the exact
 // issue-order contract the live mutex-serialized path used to produce,
 // one epoch at a time. Un-recorded runs (the saturation benchmarks)
-// touch no shared mutable state beyond the queues, the dispenser, and
-// the shard networks.
+// touch no shared mutable state beyond the queues and the dispenser.
 // Elastic width (paper Props 5.6-5.10 + Lemma 3.1): when
 // ServiceConfig::elastic is enabled the fixed residue-class router is
 // replaced by a versioned TopologyEpoch, swapped atomically. Epoch
@@ -479,8 +489,11 @@ class CountingService {
     return nshards_.load(std::memory_order_relaxed);
   }
 
-  /// Quiescent per-shard totals of the final epoch (only meaningful
-  /// after stop()).
+  /// Values shard `shard`'s network had handed out when the most recent
+  /// quiescence fence read it — after stop(), the final epoch's totals.
+  /// 0 before the first fence and for shards that epoch did not have.
+  /// Never reads a live network: a shard network has a single writer,
+  /// its worker, and only the fence reads it, after joining the workers.
   std::uint64_t shard_total(std::uint32_t shard) const;
 
  private:
@@ -551,7 +564,7 @@ class CountingService {
     /// shards). parts[r].net backs nets[r]; feed_order drives the
     /// worker's balanced cyclic feeding.
     std::vector<Subnetwork> parts;
-    std::vector<std::unique_ptr<ConcurrentNetwork>> nets;
+    std::vector<std::unique_ptr<SerialNetwork>> nets;
     std::vector<std::unique_ptr<BoundedQueue<Request>>> queues;
     std::vector<std::unique_ptr<ShardRuntime>> runtimes;
     std::vector<std::thread> workers;
@@ -609,6 +622,8 @@ class CountingService {
   /// fence never blocks its exit.
   mutable std::mutex fence_mu_;
   std::vector<EpochStats> epoch_stats_;  ///< Guarded by fence_mu_.
+  /// Per-shard network totals read at the last fence (fence_mu_).
+  std::vector<std::uint64_t> shard_totals_;
 
   /// Controller state (supervisor thread only).
   std::uint32_t split_streak_ = 0;

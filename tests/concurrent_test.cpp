@@ -1,6 +1,7 @@
 // Tests for the shared-memory counting-network implementation
-// (src/concurrent): gap-freedom, quiescent step property, and the
-// Theorem 4.1 pacing behaviour on real threads.
+// (src/concurrent): gap-freedom, quiescent step property, the
+// Theorem 4.1 pacing behaviour on real threads, and the equivalence of
+// the single-writer (plain counter) and atomic instantiations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,9 +13,11 @@
 #include "concurrent/harness.hpp"
 #include "core/constructions.hpp"
 #include "core/sequential.hpp"
+#include "core/split.hpp"
 #include "core/verify.hpp"
 #include "sim/consistency.hpp"
 #include "sim/timing.hpp"
+#include "util/rng.hpp"
 
 namespace cn {
 namespace {
@@ -361,6 +364,98 @@ TEST(ConcurrentBatch, MixedBatchAndSingleThreadsStayGapFree) {
   ASSERT_EQ(all.size(), 2 * kSingles + 2 * kBatch * kBatches);
   for (std::uint64_t i = 0; i < all.size(); ++i) ASSERT_EQ(all[i], i);
   EXPECT_TRUE(has_step_property(net.sink_counts()));
+}
+
+
+// --- SerialNetwork: the plain-counter instantiation ------------------------
+
+// Makes 200k random increment_batch(src, k) calls, k in [1, 32], on a
+// SerialNetwork and a ConcurrentNetwork over `topo` and asserts that both
+// write the same out-value array on every call, then that every
+// balancer's step count and every sink counter agree. With an empty
+// `feed_order` the source is uniform; otherwise each call is split over
+// the part's entries in balanced cyclic feed order, exactly as the
+// elastic service worker feeds a split part. With `counting`, also
+// asserts that a single writer's call hands out exactly [T, T+k), T
+// being the values handed out before it (the counting property at
+// quiescence).
+void expect_serial_matches_atomic(const Network& topo,
+                                  const std::vector<std::uint32_t>& feed_order,
+                                  bool counting, std::uint64_t seed) {
+  constexpr std::uint32_t kCalls = 200000;
+  constexpr std::uint32_t kMaxBatch = 32;
+  SerialNetwork serial(topo);
+  ConcurrentNetwork atomic(topo);
+  Xoshiro256 rng(seed);
+  const std::uint32_t m = topo.fan_in();
+  std::uint64_t feed_cursor = 0;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pieces;  // (src, k)
+  std::vector<Value> got_serial(kMaxBatch);
+  std::vector<Value> got_atomic(kMaxBatch);
+  std::vector<Value> block(kMaxBatch);
+  for (std::uint32_t call = 0; call < kCalls; ++call) {
+    const auto k = static_cast<std::uint32_t>(rng.range(1, kMaxBatch));
+    pieces.clear();
+    if (feed_order.empty()) {
+      pieces.emplace_back(static_cast<std::uint32_t>(rng.below(m)), k);
+    } else {
+      for (std::uint32_t u = 0; u < m; ++u) {
+        const std::uint32_t c = k / m + (u < k % m ? 1 : 0);
+        if (c == 0) break;
+        pieces.emplace_back(feed_order[(feed_cursor + u) % m], c);
+      }
+      feed_cursor = (feed_cursor + k) % m;
+    }
+    const std::uint64_t before = serial.total();
+    std::uint32_t off = 0;
+    for (const auto& [src, c] : pieces) {
+      serial.increment_batch(src, c, got_serial.data() + off);
+      atomic.increment_batch(src, c, got_atomic.data() + off);
+      off += c;
+    }
+    if (!std::equal(got_serial.begin(), got_serial.begin() + k,
+                    got_atomic.begin())) {
+      FAIL() << topo.name() << ": out-values differ at call " << call;
+    }
+    if (counting) {
+      block.assign(got_serial.begin(), got_serial.begin() + k);
+      std::sort(block.begin(), block.end());
+      for (std::uint32_t i = 0; i < k; ++i) {
+        if (block[i] != before + i) {
+          FAIL() << topo.name() << ": call " << call << " (k=" << k
+                 << ") is not the block [" << before << ", " << before + k
+                 << ")";
+        }
+      }
+    }
+  }
+  for (NodeIndex b = 0; b < topo.num_balancers(); ++b) {
+    EXPECT_EQ(serial.balancer_through(b), atomic.balancer_through(b))
+        << topo.name() << " balancer " << b;
+  }
+  EXPECT_EQ(serial.sink_counts(), atomic.sink_counts()) << topo.name();
+  EXPECT_EQ(serial.total(), atomic.total()) << topo.name();
+}
+
+TEST(SerialNetwork, MatchesAtomicCountersOnCountingNetworks) {
+  expect_serial_matches_atomic(make_bitonic(8), {}, /*counting=*/true, 1);
+  expect_serial_matches_atomic(make_bitonic(32), {}, /*counting=*/true, 2);
+  expect_serial_matches_atomic(make_periodic(8), {}, /*counting=*/true, 3);
+}
+
+TEST(SerialNetwork, MatchesAtomicCountersOnSplitPartsInFeedOrder) {
+  const Network topo = make_bitonic(8);
+  const SplitPlan plan(topo);
+  ASSERT_TRUE(plan.applicable()) << plan.reason();
+  std::uint64_t seed = 10;
+  for (const std::uint32_t level : {1u, 2u}) {
+    const std::vector<Subnetwork> parts = plan.extract(level);
+    ASSERT_EQ(parts.size(), 1u << level);
+    for (const Subnetwork& part : parts) {
+      expect_serial_matches_atomic(*part.net, part.feed_order,
+                                   /*counting=*/false, seed++);
+    }
+  }
 }
 
 }  // namespace

@@ -1343,5 +1343,84 @@ TEST(ElasticService, ResizeRefusalsAreReasoned) {
   EXPECT_TRUE(svc.audit().ok());
 }
 
+TEST(ElasticService, ShardNetworkHandoffsUnderCrashesResizesAndBatches) {
+  // Every handoff of a single-writer shard network, on one service (the
+  // TSan job runs this suite): chaos crashes make the supervisor join a
+  // dead worker and start its successor on the same plain-counter
+  // network; resize() fences join all workers, read the network totals
+  // and install fresh networks; batched clients keep the workers busy
+  // throughout. validate() refuses worker chaos in elastic mode because
+  // its triggers re-arm in every epoch; the worker loop runs it anyway,
+  // and the re-arming is what gives each epoch its own crash-respawn.
+  const Network net = make_bitonic(8);
+  ServiceConfig cfg = elastic_config(net, 2);
+  cfg.queue_capacity = 1024;
+  for (const std::uint64_t at : {20u, 60u}) {
+    fault::ChaosEvent e;
+    e.kind = fault::ChaosKind::kWorkerCrash;
+    e.shard = 0;
+    e.at_ops = at;
+    e.lose = 2;
+    cfg.chaos.events.push_back(e);
+  }
+  CountingService svc(cfg);
+  svc.start();
+  std::atomic<bool> go{true};
+  std::vector<std::uint64_t> values[3];
+  std::vector<std::thread> batchers;
+  for (std::uint32_t c = 0; c < 3; ++c) {
+    batchers.emplace_back([&, c] {
+      const service::SubmitPolicy policy;
+      service::PolicyClient client(svc, policy, c, 1 + c);
+      for (std::uint64_t b = 0; go.load(std::memory_order_relaxed); ++b) {
+        const service::BatchReport rep = client.submit_batch(b, 8);
+        values[c].insert(values[c].end(), rep.values.begin(),
+                         rep.values.end());
+      }
+    });
+  }
+  // Resize only after both of the epoch's crashes were respawned, so each
+  // of the five epochs (levels 0, 1, 2, 1, 0) hands its shard-0 network
+  // across two joins before its fence.
+  const auto wait_for_respawns = [&](std::uint64_t want) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (svc.health().respawns < want &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return svc.health().respawns >= want;
+  };
+  std::uint64_t want = 0;
+  for (const std::uint32_t level : {1u, 2u, 1u, 0u}) {
+    want += 2;
+    ASSERT_TRUE(wait_for_respawns(want)) << "before resize to " << level;
+    ASSERT_TRUE(svc.resize(level).empty()) << "level " << level;
+  }
+  ASSERT_TRUE(wait_for_respawns(want + 2));
+  go.store(false, std::memory_order_relaxed);
+  for (auto& t : batchers) t.join();
+  svc.stop();
+
+  const ServiceStats& st = svc.stats();
+  EXPECT_EQ(st.splits, 2u);
+  EXPECT_EQ(st.merges, 2u);
+  EXPECT_EQ(st.crashes, 10u);
+  EXPECT_EQ(st.crash_lost, 20u);
+  EXPECT_GT(st.ingress_batches, 0u);
+  EXPECT_TRUE(svc.audit().ok());
+  const std::vector<service::EpochStats> epochs = svc.epoch_history();
+  ASSERT_EQ(epochs.size(), 5u);
+  for (const service::EpochStats& es : epochs) {
+    EXPECT_TRUE(es.gap_free) << "epoch " << es.index;
+    EXPECT_TRUE(es.audit_exact) << "epoch " << es.index;
+  }
+  std::vector<std::uint64_t> all;
+  for (const auto& v : values) all.insert(all.end(), v.begin(), v.end());
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(all.size(), st.completed);
+  EXPECT_TRUE(std::adjacent_find(all.begin(), all.end()) == all.end());
+}
+
 }  // namespace
 }  // namespace cn
