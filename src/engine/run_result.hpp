@@ -9,8 +9,8 @@
 #include <string>
 
 #include "core/topology.hpp"
-#include "sim/consistency.hpp"
 #include "sim/timed_execution.hpp"
+#include "trace/consistency.hpp"
 #include "trace/trace.hpp"
 
 namespace cn::engine {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/wave.hpp"
+#include "sim/wave_order.hpp"
 
 namespace cn::fault {
 
@@ -279,25 +280,6 @@ FaultedSimResult simulate_faulted_with(const TimedExecution& exec,
   return result;
 }
 
-/// Wave mode pre-sorts the complete (fault-trimmed) event list; `hop`
-/// joins the sort key as the final tie-break so the sorted order equals
-/// the scalar heap's pop order (see sim/simulator.hpp, simulate_wave).
-struct WaveEvent {
-  double time;
-  double rank;
-  TokenId token;
-  std::uint32_t hop;
-};
-
-constexpr auto wave_event_less = [](const WaveEvent& a, const WaveEvent& b) {
-  if (a.time != b.time) return a.time < b.time;
-  if (a.rank != b.rank) return a.rank < b.rank;
-  if (a.token != b.token) return a.token < b.token;
-  return a.hop < b.hop;
-};
-
-constexpr std::size_t kWaveChunk = 4096;
-
 FaultedSimResult simulate_faulted_wave_with(const TimedExecution& exec,
                                             const SimFaults& faults,
                                             SimArena& arena,
@@ -317,15 +299,11 @@ FaultedSimResult simulate_faulted_wave_with(const TimedExecution& exec,
                            : simulate_faulted_stream(exec, faults, *sink);
   }
 
-  TokenId max_token = 0;
-  ProcessId max_process = 0;
   for (const TokenPlan& p : exec.plans) {
     if (p.token == kNoToken) {
       result.error = "token id " + std::to_string(kNoToken) + " is reserved";
       return result;
     }
-    max_token = std::max(max_token, p.token);
-    max_process = std::max(max_process, p.process);
   }
 
   const auto doom = [&](TokenId t) -> std::uint32_t {
@@ -333,46 +311,18 @@ FaultedSimResult simulate_faulted_wave_with(const TimedExecution& exec,
                                              : kCompletes;
   };
 
-  // The canonical event order, with the overlay already folded in:
-  // never-issued tokens contribute nothing, a doomed token's events stop
-  // at its drop hop (the drop event is processed — it frees the process
-  // and the reorder slot — but executes no transition and draws no seq).
-  std::vector<const TokenPlan*> plan_of(max_token + 1, nullptr);
-  std::vector<WaveEvent> events;
-  events.reserve(exec.plans.size() * (d + 1));
-  for (const TokenPlan& p : exec.plans) {
-    plan_of[p.token] = &p;
-    const std::uint32_t dm = doom(p.token);
-    if (dm == 0) continue;  // never issued
-    const std::uint32_t last = std::min(dm, d);
-    for (std::uint32_t h = 0; h <= last; ++h) {
-      events.push_back({p.times[h], p.rank, p.token, h});
-    }
-  }
-  std::sort(events.begin(), events.end(), wave_event_less);
-
-  // Step-order overlap pre-check over the canonical order — the same
-  // transitions on the same per-process slots the scalar loop performs.
-  // A rejected schedule falls back to the scalar interpreter so the
-  // error text and any partial sink emission match exactly.
-  {
-    std::vector<TokenId> in_flight(max_process + 1, kNoToken);
-    for (const WaveEvent& e : events) {
-      const ProcessId proc = plan_of[e.token]->process;
-      if (e.hop == doom(e.token)) {
-        in_flight[proc] = kNoToken;
-        continue;
-      }
-      if (e.hop == 0) {
-        if (in_flight[proc] != kNoToken) {
-          return sink == nullptr
-                     ? simulate_faulted(exec, faults)
-                     : simulate_faulted_stream(exec, faults, *sink);
-        }
-        in_flight[proc] = e.token;
-      }
-      if (e.hop == d) in_flight[proc] = kNoToken;
-    }
+  // The canonical event order, with the overlay folded into the runs:
+  // never-issued tokens have none, a doomed token's steps stop at its
+  // drop hop (the drop event is processed — it frees the process and the
+  // reorder slot — but executes no transition and draws no seq). A run
+  // that is not sorted is a step-order overlap, with the drop event
+  // freeing the process exactly as in the scalar loop: fall back to the
+  // scalar interpreter so the error text and any partial sink emission
+  // match exactly.
+  WaveOrder& canon = *tables.order;
+  if (!canon.build(exec, faults.lost_before_hop)) {
+    return sink == nullptr ? simulate_faulted(exec, faults)
+                           : simulate_faulted_stream(exec, faults, *sink);
   }
 
   // Dynamic state, graph-walk flavor (reference semantics): explicit
@@ -386,15 +336,17 @@ FaultedSimResult simulate_faulted_wave_with(const TimedExecution& exec,
 
   std::optional<IssueWindowBuffer> reorder;
   if (sink != nullptr) reorder.emplace(*sink, /*deferred=*/true);
-  std::vector<TokenRecord> records(sink == nullptr ? max_token + 1 : 0);
-  // Per TOKEN, not per process: inside one chunk a process's next issue
-  // is processed (level 0) before its previous token's drop (level >= 1).
-  std::vector<std::uint64_t> first_seq_of_token(
-      sink == nullptr ? 0 : max_token + 1, 0);
-  std::vector<std::uint64_t> pos_of_token(
-      sink == nullptr ? 0 : max_token + 1, 0);
-  std::vector<WireIndex> wire_of(max_token + 1, kInvalidWire);
-  std::vector<bool> completed(max_token + 1, false);
+  // Per-token state, indexed by plan. first_seq and the issue slot are
+  // kept per token, not per process: inside one chunk a process's next
+  // issue is processed (level 0) before its previous token's drop
+  // (level >= 1).
+  const std::size_t num_plans = exec.plans.size();
+  std::vector<TokenRecord> records(sink == nullptr ? num_plans : 0);
+  std::vector<std::uint64_t> first_seq_of_plan(sink == nullptr ? 0 : num_plans,
+                                               0);
+  std::vector<std::uint64_t> pos_of_plan(sink == nullptr ? 0 : num_plans, 0);
+  std::vector<WireIndex> wire_of(num_plans, kInvalidWire);
+  std::vector<bool> completed(num_plans, false);
 
   std::vector<std::uint32_t> bucket_start(d + 2, 0);
   std::vector<std::uint32_t> bucket_pos(d + 1, 0);
@@ -402,15 +354,17 @@ FaultedSimResult simulate_faulted_wave_with(const TimedExecution& exec,
   std::vector<std::uint64_t> seq_of;
   std::uint64_t seq = 0;
 
-  for (std::size_t base = 0; base < events.size(); base += kWaveChunk) {
-    const std::size_t n = std::min(kWaveChunk, events.size() - base);
-    const WaveEvent* chunk = events.data() + base;
+  while (canon.remaining() > 0) {
+    const std::span<const WaveEvent> chunk = canon.next_chunk();
+    const std::size_t n = chunk.size();
 
     // Canonical per-event seqs, assigned before bucketing: drop events
     // draw none, exactly like the scalar loop's skipped increment.
     seq_of.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      seq_of[i] = chunk[i].hop == doom(chunk[i].token) ? 0 : seq++;
+      seq_of[i] = chunk[i].hop == doom(exec.plans[chunk[i].plan].token)
+                      ? 0
+                      : seq++;
     }
 
     // Stable counting sort of the chunk by hop (= level).
@@ -427,41 +381,42 @@ FaultedSimResult simulate_faulted_wave_with(const TimedExecution& exec,
       for (std::uint32_t s = bucket_start[lvl]; s < bucket_start[lvl + 1]; ++s) {
         const std::uint32_t idx = order[s];
         const WaveEvent& e = chunk[idx];
-        const TokenPlan& plan = *plan_of[e.token];
+        const std::uint32_t pi = e.plan;
+        const TokenPlan& plan = exec.plans[pi];
 
         // The token vanishes here: no transition, no seq. (Emission
         // eligibility is reconciled at the chunk's deferred drain, so
         // within-chunk call order against other levels is immaterial.)
-        if (e.hop == doom(e.token)) {
-          if (sink != nullptr) reorder->drop(pos_of_token[e.token]);
+        if (e.hop == doom(plan.token)) {
+          if (sink != nullptr) reorder->drop(pos_of_plan[pi]);
           continue;
         }
 
         if (lvl == 0) {
-          wire_of[e.token] = cnet.source_wire(plan.source);
+          wire_of[pi] = cnet.source_wire(plan.source);
           if (sink == nullptr) {
-            records[e.token].first_seq = seq_of[idx];
+            records[pi].first_seq = seq_of[idx];
           } else {
-            // Hop-0 events are visited in sorted-index order within the
+            // Hop-0 events are visited in canonical order within the
             // chunk's level-0 slice, so opens arrive in first_seq order.
-            first_seq_of_token[e.token] = seq_of[idx];
-            pos_of_token[e.token] = reorder->open();
+            first_seq_of_plan[pi] = seq_of[idx];
+            pos_of_plan[pi] = reorder->open();
           }
         }
 
-        const CompiledNetwork::Route& r = cnet.route(wire_of[e.token]);
+        const CompiledNetwork::Route& r = cnet.route(wire_of[pi]);
         if (lvl < d) {
           const PortIndex out = balancer_pos[r.node];
           if (!faults.stuck[r.node]) {
             balancer_pos[r.node] = static_cast<PortIndex>(
                 (out + 1) % cnet.balancer_fan_out(r.node));
           }
-          wire_of[e.token] = cnet.out_wire_at(r.out_base + out);
+          wire_of[pi] = cnet.out_wire_at(r.out_base + out);
         } else {
           const std::uint32_t counter = r.node;
           const Value v = counter_next[counter];
           counter_next[counter] += cnet.fan_out();
-          completed[e.token] = true;
+          completed[pi] = true;
           TokenRecord rec;
           rec.token = plan.token;
           rec.process = plan.process;
@@ -472,11 +427,11 @@ FaultedSimResult simulate_faulted_wave_with(const TimedExecution& exec,
           rec.t_out = plan.t_out();
           rec.last_seq = seq_of[idx];
           if (sink == nullptr) {
-            rec.first_seq = records[e.token].first_seq;
-            records[e.token] = rec;
+            rec.first_seq = records[pi].first_seq;
+            records[pi] = rec;
           } else {
-            rec.first_seq = first_seq_of_token[e.token];
-            reorder->close(pos_of_token[e.token], rec);
+            rec.first_seq = first_seq_of_plan[pi];
+            reorder->close(pos_of_plan[pi], rec);
           }
         }
       }
@@ -485,9 +440,9 @@ FaultedSimResult simulate_faulted_wave_with(const TimedExecution& exec,
   }
 
   if (sink == nullptr) {
-    result.trace.reserve(exec.plans.size());
-    for (const TokenPlan& p : exec.plans) {
-      if (completed[p.token]) result.trace.push_back(records[p.token]);
+    result.trace.reserve(num_plans);
+    for (std::size_t i = 0; i < num_plans; ++i) {
+      if (completed[i]) result.trace.push_back(records[i]);
     }
   } else {
     reorder->flush();

@@ -97,8 +97,10 @@ FaultedSimResult simulate_faulted_stream(const TimedExecution& exec,
                                          TraceSink& sink);
 
 /// Level-synchronous wave interpreter of the same overlay: the canonical
-/// (time, rank, token, hop) event order is sorted once, chunked, and each
-/// chunk is bucketed by level, with the fault overlay applied per wave —
+/// (time, rank, token, hop) event order is merged from per-process runs
+/// (sim/wave_order.hpp; a doomed token's run entry stops at its drop hop,
+/// a never-issued token has none), chunked, and each chunk is bucketed
+/// by level, with the fault overlay applied per wave —
 /// a doomed token's drop event is consumed at its level without drawing a
 /// sequence number, and stuck balancers freeze the explicit per-balancer
 /// position the wave loop advances. Routing runs over the compiled
@@ -106,9 +108,9 @@ FaultedSimResult simulate_faulted_stream(const TimedExecution& exec,
 /// identical by tests/compiled_test.cpp). Byte-identical to
 /// simulate_faulted(); with an empty overlay, byte-identical to
 /// simulate_wave() and simulate() (zero-fault identity). Structurally
-/// non-uniform networks and schedules that fail the per-process overlap
-/// pre-check fall back to the scalar interpreter wholesale, reproducing
-/// its errors exactly.
+/// non-uniform networks and schedules with a step-order overlap (a
+/// per-process run that is not sorted) fall back to the scalar
+/// interpreter wholesale, reproducing its errors exactly.
 FaultedSimResult simulate_faulted_wave(const TimedExecution& exec,
                                        const SimFaults& faults,
                                        SimArena& arena);

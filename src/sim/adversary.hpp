@@ -17,9 +17,9 @@
 
 #include "core/topology.hpp"
 #include "core/valency.hpp"
-#include "sim/consistency.hpp"
 #include "sim/timed_execution.hpp"
 #include "sim/timing.hpp"
+#include "trace/consistency.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 

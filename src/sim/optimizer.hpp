@@ -11,8 +11,8 @@
 
 #include <cstdint>
 
-#include "sim/consistency.hpp"
 #include "sim/timed_execution.hpp"
+#include "trace/consistency.hpp"
 #include "util/rng.hpp"
 
 namespace cn {

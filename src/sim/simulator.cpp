@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/wave.hpp"
+#include "sim/wave_order.hpp"
 
 namespace cn {
 
@@ -33,29 +34,6 @@ constexpr auto event_after = [](const Event& a, const Event& b) { return a > b; 
 
 constexpr TokenId kNoToken = std::numeric_limits<TokenId>::max();
 
-/// Wave mode pre-sorts the complete event list instead of heaping pending
-/// events; `hop` joins the sort key as the final tie-break so the sorted
-/// order equals the scalar heap's pop order (see simulate_wave's header
-/// comment).
-struct WaveEvent {
-  double time;
-  double rank;
-  TokenId token;
-  std::uint32_t hop;
-};
-
-constexpr auto wave_event_less = [](const WaveEvent& a, const WaveEvent& b) {
-  if (a.time != b.time) return a.time < b.time;
-  if (a.rank != b.rank) return a.rank < b.rank;
-  if (a.token != b.token) return a.token < b.token;
-  return a.hop < b.hop;
-};
-
-/// Chunk of the canonical event order processed per wave round. Large
-/// enough to amortize the per-chunk bucket pass and sink batch, small
-/// enough that the chunk's cursors stay cache-resident.
-constexpr std::size_t kWaveChunk = 4096;
-
 }  // namespace
 
 /// Per-call buffers, kept allocated across calls.
@@ -70,19 +48,18 @@ struct SimArena::Scratch {
   std::vector<std::uint64_t> first_seq_of_process;
   std::vector<std::uint64_t> pos_of_process;
   IssueWindowBuffer window;  ///< Ring reused across calls.
-  // --- wave mode ---------------------------------------------------------
-  std::vector<WaveEvent> events;            ///< All steps, canonical order.
+  // --- wave mode (per-token state is indexed by plan) -------------------
+  WaveOrder canonical;                      ///< The merged step order.
   std::vector<std::uint32_t> bucket_start;  ///< Per-level chunk offsets.
   std::vector<std::uint32_t> bucket_pos;    ///< Scatter cursor per level.
   std::vector<std::uint32_t> order;         ///< Chunk indices by level.
   std::vector<WireIndex> wire_of;           ///< Current wire per token.
-  /// Wave streaming keeps first_seq and issue slot per TOKEN, not per
+  /// Wave streaming keeps first_seq and issue slot per token, not per
   /// process: inside one chunk a process's next issue is processed
   /// (level 0) before its previous token's completion (level d), so a
-  /// per-process slot would be overwritten too early. O(max token id)
-  /// scratch, arena-reused.
-  std::vector<std::uint64_t> first_seq_of_token;
-  std::vector<std::uint64_t> pos_of_token;
+  /// per-process slot would be overwritten too early.
+  std::vector<std::uint64_t> first_seq_of_plan;
+  std::vector<std::uint64_t> pos_of_plan;
   std::vector<TokenCursor> cursors;         ///< One wave's gather buffer.
   std::vector<Value> values;                ///< Counter-wave results.
 };
@@ -100,7 +77,7 @@ SimArena::WaveTables SimArena::wave_tables(const Network& net) {
   } else {
     wave_state_->reset();
   }
-  return {compiled_.get(), wave_plan_.get()};
+  return {compiled_.get(), wave_plan_.get(), &scratch_->canonical};
 }
 
 NetworkState& SimArena::acquire(const Network& net) {
@@ -260,88 +237,62 @@ SimulationResult simulate_wave_with(const TimedExecution& exec,
   if (!result.error.empty()) return result;
 
   const Network& net = *exec.net;
-  arena.wave_tables(net);
+  const SimArena::WaveTables tables = arena.wave_tables(net);
   const std::uint32_t d = net.depth();
-  if (!arena.wave_plan_->uniform() || arena.wave_plan_->depth() != d) {
+  if (!tables.plan->uniform() || tables.plan->depth() != d) {
     // The scalar interpreter is the executable spec, including its
     // dynamic non-uniformity errors (and any sink prefix emitted before
     // the error): run it wholesale.
     return simulate_with(exec, arena, /*record_steps=*/false, sink);
   }
-
-  SimArena::Scratch& scr = *arena.scratch_;
-  TokenId max_token = 0;
-  ProcessId max_process = 0;
   for (const TokenPlan& p : exec.plans) {
     if (p.token == kNoToken) {
       result.error = "token id " + std::to_string(kNoToken) + " is reserved";
       return result;
     }
-    max_token = std::max(max_token, p.token);
-    max_process = std::max(max_process, p.process);
   }
 
-  // The canonical event order: one global sort replaces the heap. The
+  // The canonical event order, merged from the per-process runs. The
   // scalar pop order is exactly this order — at every pop the heap holds
   // each unfinished token's earliest unprocessed event, and a successor
   // event never sorts before its predecessor (times are non-decreasing
   // per plan; `hop` breaks the equal-time case), so the minimum over
-  // pending events is the minimum over all unprocessed events.
-  scr.plan_of.assign(max_token + 1, nullptr);
-  scr.events.clear();
-  scr.events.reserve(exec.plans.size() * (d + 1));
-  for (const TokenPlan& p : exec.plans) {
-    scr.plan_of[p.token] = &p;
-    for (std::uint32_t h = 0; h <= d; ++h) {
-      scr.events.push_back({p.times[h], p.rank, p.token, h});
-    }
-  }
-  std::sort(scr.events.begin(), scr.events.end(), wave_event_less);
-
-  // Paper Section 2.2, rule 3 (step-order overlap): decided up front over
-  // the canonical order — the same hop-0 checks in the same order the
-  // scalar loop performs them. A rejected schedule falls back to the
-  // scalar interpreter so the error text and any partial sink emission
-  // match exactly.
-  scr.in_flight_of_process.assign(max_process + 1, kNoToken);
-  for (const WaveEvent& e : scr.events) {
-    if (e.hop == 0) {
-      TokenId& slot = scr.in_flight_of_process[scr.plan_of[e.token]->process];
-      if (slot != kNoToken) {
-        return simulate_with(exec, arena, /*record_steps=*/false, sink);
-      }
-      slot = e.token;
-    }
-    if (e.hop == d) {
-      scr.in_flight_of_process[scr.plan_of[e.token]->process] = kNoToken;
-    }
+  // pending events is the minimum over all unprocessed events. A
+  // process whose run is not sorted has a step-order overlap (paper
+  // Section 2.2, rule 3): the scalar interpreter then reproduces the
+  // error text and any partial sink emission exactly.
+  WaveOrder& canon = *tables.order;
+  if (!canon.build(exec)) {
+    return simulate_with(exec, arena, /*record_steps=*/false, sink);
   }
 
+  SimArena::Scratch& scr = *arena.scratch_;
+  const std::size_t num_plans = exec.plans.size();
   if (sink == nullptr) {
-    scr.records.assign(max_token + 1, TokenRecord{});
+    scr.records.assign(num_plans, TokenRecord{});
   } else {
-    scr.first_seq_of_token.assign(max_token + 1, 0);
-    scr.pos_of_token.assign(max_token + 1, 0);
+    scr.first_seq_of_plan.assign(num_plans, 0);
+    scr.pos_of_plan.assign(num_plans, 0);
     scr.window.reset(*sink, /*deferred=*/true);
   }
-  scr.wire_of.assign(max_token + 1, kInvalidWire);
+  scr.wire_of.assign(num_plans, kInvalidWire);
 
-  const CompiledNetwork& cnet = *arena.compiled_;
+  const CompiledNetwork& cnet = *tables.compiled;
   CompiledState& cstate = *arena.wave_state_;
   const std::uint32_t fan_out = cnet.fan_out();
   scr.bucket_start.assign(d + 2, 0);
   scr.bucket_pos.assign(d + 1, 0);
 
-  for (std::size_t base = 0; base < scr.events.size(); base += kWaveChunk) {
-    const std::size_t n = std::min(kWaveChunk, scr.events.size() - base);
-    const WaveEvent* chunk = scr.events.data() + base;
+  for (std::uint64_t base = 0; canon.remaining() > 0;) {
+    const std::span<const WaveEvent> chunk = canon.next_chunk();
+    const std::size_t n = chunk.size();
 
     // Stable counting sort of the chunk by hop. A balancer lives at
     // exactly one level, so grouping by level keeps each balancer's
     // arrival order; hop h sorts before hop h+1, so a token's own steps
     // stay ordered within the chunk.
     std::fill(scr.bucket_start.begin(), scr.bucket_start.end(), 0u);
-    for (std::size_t i = 0; i < n; ++i) ++scr.bucket_start[chunk[i].hop + 1];
+    for (const WaveEvent& e : chunk) ++scr.bucket_start[e.hop + 1];
     for (std::uint32_t h = 0; h <= d; ++h) {
       scr.bucket_start[h + 1] += scr.bucket_start[h];
     }
@@ -360,39 +311,39 @@ SimulationResult simulate_wave_with(const TimedExecution& exec,
       if (slice.empty()) continue;
 
       if (lvl == 0) {
-        // Entry bookkeeping; seq of an event is its global sorted index.
+        // Entry bookkeeping; seq of an event is its canonical index.
         for (const std::uint32_t idx : slice) {
-          const WaveEvent& e = chunk[idx];
-          const TokenPlan& plan = *scr.plan_of[e.token];
-          scr.wire_of[e.token] = cnet.source_wire(plan.source);
+          const std::uint32_t pi = chunk[idx].plan;
+          const TokenPlan& plan = exec.plans[pi];
+          scr.wire_of[pi] = cnet.source_wire(plan.source);
           ++cstate.source_count[plan.source];
           const std::uint64_t seq = base + idx;
           if (sink == nullptr) {
-            scr.records[e.token].first_seq = seq;
+            scr.records[pi].first_seq = seq;
           } else {
-            // Hop-0 events are visited in sorted-index order within each
+            // Hop-0 events are visited in canonical order within each
             // chunk's level-0 slice, so opens arrive in first_seq order.
-            scr.first_seq_of_token[e.token] = seq;
-            scr.pos_of_token[e.token] = scr.window.open();
+            scr.first_seq_of_plan[pi] = seq;
+            scr.pos_of_plan[pi] = scr.window.open();
           }
         }
       }
 
       scr.cursors.clear();
       for (const std::uint32_t idx : slice) {
-        scr.cursors.push_back({scr.wire_of[chunk[idx].token], idx});
+        scr.cursors.push_back({scr.wire_of[chunk[idx].plan], idx});
       }
       if (lvl < d) {
         step_wave(cnet, cstate, scr.cursors);
         for (const TokenCursor& c : scr.cursors) {
-          scr.wire_of[chunk[c.tag].token] = c.wire;
+          scr.wire_of[chunk[c.tag].plan] = c.wire;
         }
       } else {
         scr.values.resize(scr.cursors.size());
         step_wave_counters(cnet, cstate, scr.cursors, scr.values);
         for (std::size_t k = 0; k < scr.cursors.size(); ++k) {
-          const WaveEvent& e = chunk[scr.cursors[k].tag];
-          const TokenPlan& plan = *scr.plan_of[e.token];
+          const std::uint32_t pi = chunk[scr.cursors[k].tag].plan;
+          const TokenPlan& plan = exec.plans[pi];
           const Value v = scr.values[k];
           TokenRecord rec;
           rec.token = plan.token;
@@ -404,23 +355,21 @@ SimulationResult simulate_wave_with(const TimedExecution& exec,
           rec.t_out = plan.t_out();
           rec.last_seq = base + scr.cursors[k].tag;
           if (sink == nullptr) {
-            rec.first_seq = scr.records[e.token].first_seq;
-            scr.records[e.token] = rec;
+            rec.first_seq = scr.records[pi].first_seq;
+            scr.records[pi] = rec;
           } else {
-            rec.first_seq = scr.first_seq_of_token[e.token];
-            scr.window.close(scr.pos_of_token[e.token], rec);
+            rec.first_seq = scr.first_seq_of_plan[pi];
+            scr.window.close(scr.pos_of_plan[pi], rec);
           }
         }
       }
     }
     if (sink != nullptr) scr.window.drain();
+    base += n;
   }
 
   if (sink == nullptr) {
-    result.trace.reserve(exec.plans.size());
-    for (const TokenPlan& p : exec.plans) {
-      result.trace.push_back(scr.records[p.token]);
-    }
+    result.trace.assign(scr.records.begin(), scr.records.end());
   } else {
     scr.window.flush();
   }

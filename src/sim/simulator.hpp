@@ -26,6 +26,7 @@
 namespace cn {
 
 class WavePlan;
+class WaveOrder;
 
 struct SimulationResult {
   Trace trace;            ///< One record per token, in token-plan order.
@@ -61,11 +62,13 @@ class SimArena {
 
   /// Compiled routing tables plus level structure for `net`, cached like
   /// acquire(): the shared immutable input of the wave interpreters (the
-  /// faulted one lives in fault/faulted_sim.hpp). Also refreshes the
-  /// internal wave-mode state arena.
+  /// faulted one lives in fault/faulted_sim.hpp), plus the arena's
+  /// canonical-order producer (sim/wave_order.hpp) they both merge
+  /// with. Also refreshes the internal wave-mode state arena.
   struct WaveTables {
     const CompiledNetwork* compiled;
     const WavePlan* plan;
+    WaveOrder* order;
   };
   WaveTables wave_tables(const Network& net);
 
@@ -118,17 +121,20 @@ SimulationResult simulate_stream(const TimedExecution& exec, SimArena& arena,
 /// Every step of a timed execution is known up front (the plans fix all
 /// crossing times), and the scalar event heap pops in exactly the total
 /// order (time, rank, token, hop) — a pending successor event never
-/// precedes its predecessor under that key. So the wave interpreter sorts
-/// all N*(d+1) events once, takes fixed-size chunks of the sorted order,
-/// buckets each chunk by hop (= level, for a uniform network), and runs
-/// each level as one wave through the core wave kernels
-/// (core/wave.hpp). Per-balancer arrival order is preserved because a
-/// balancer lives at exactly one level and bucketing is stable; sequence
-/// numbers are the sorted positions, which is exactly the scalar seq
-/// assignment. Executions the wave path cannot take — structurally
-/// non-uniform networks, schedules that fail the per-process overlap
-/// check — fall back to the scalar interpreter wholesale, reproducing its
-/// errors (and any partial sink emission) exactly.
+/// precedes its predecessor under that key. A process's tokens run one
+/// after another, so that order is a merge of one sorted run per
+/// process: WaveOrder (sim/wave_order.hpp) groups the plans into those
+/// runs and merges them with a loser tree, O(E log P) for E steps of P
+/// processes, one fixed-size chunk at a time. Each chunk is bucketed by
+/// hop (= level, for a uniform network) and each level runs as one wave
+/// through the core wave kernels (core/wave.hpp). Per-balancer arrival
+/// order is preserved because a balancer lives at exactly one level and
+/// bucketing is stable; sequence numbers are the canonical positions,
+/// which is exactly the scalar seq assignment. Executions the wave path
+/// cannot take — structurally non-uniform networks, and schedules with a
+/// step-order overlap, which are exactly those whose per-process runs
+/// are not sorted — fall back to the scalar interpreter wholesale,
+/// reproducing its errors (and any partial sink emission) exactly.
 SimulationResult simulate_wave(const TimedExecution& exec, SimArena& arena);
 
 /// Streaming twin of simulate_wave: same record sequence as

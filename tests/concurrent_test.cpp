@@ -15,8 +15,8 @@
 #include "core/sequential.hpp"
 #include "core/split.hpp"
 #include "core/verify.hpp"
-#include "sim/consistency.hpp"
 #include "sim/timing.hpp"
+#include "trace/consistency.hpp"
 #include "util/rng.hpp"
 
 namespace cn {

@@ -1,12 +1,12 @@
-// Tests for consistency analysis (sim/consistency), including the
+// Tests for consistency analysis (trace/consistency), including the
 // Lemma 5.1 property (non-linearizability fraction equals the absolute
 // fraction).
 #include <gtest/gtest.h>
 
 #include "core/constructions.hpp"
-#include "sim/consistency.hpp"
 #include "sim/simulator.hpp"
 #include "sim/workload.hpp"
+#include "trace/consistency.hpp"
 #include "util/rng.hpp"
 
 namespace cn {

@@ -9,9 +9,9 @@
 
 #include "core/constructions.hpp"
 #include "engine/engine.hpp"
-#include "sim/consistency.hpp"
 #include "sim/simulator.hpp"
 #include "sim/workload.hpp"
+#include "trace/consistency.hpp"
 #include "trace/serialize.hpp"
 #include "util/rng.hpp"
 

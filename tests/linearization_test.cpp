@@ -4,10 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "core/constructions.hpp"
-#include "sim/consistency.hpp"
 #include "sim/linearization.hpp"
 #include "sim/simulator.hpp"
 #include "sim/workload.hpp"
+#include "trace/consistency.hpp"
 #include "util/rng.hpp"
 
 namespace cn {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/constructions.hpp"
@@ -58,6 +60,99 @@ TEST(TimedExecution, BackToBackSameProcessTokensAreLegal) {
   exec.plans.push_back(make_uniform_plan(0, 7, 0, net.depth(), 0.0, 1.0));
   exec.plans.push_back(make_uniform_plan(1, 7, 0, net.depth(), 3.0, 1.0));
   EXPECT_EQ(validate(exec), "");
+}
+
+// validate() as first written: a hash set of seen ids, then a sort of
+// every plan by (process, t_in). The reference for the differential
+// test below, which pins validate()'s exact message on every input.
+std::string validate_reference(const TimedExecution& exec) {
+  if (exec.net == nullptr) return "no network";
+  const std::size_t want = exec.net->depth() + 1;
+  std::unordered_set<TokenId> seen;
+  for (const TokenPlan& p : exec.plans) {
+    if (p.times.size() != want) {
+      return "token " + std::to_string(p.token) + ": plan has " +
+             std::to_string(p.times.size()) + " times, expected " +
+             std::to_string(want);
+    }
+    for (std::size_t k = 1; k < p.times.size(); ++k) {
+      if (p.times[k] < p.times[k - 1]) {
+        return "token " + std::to_string(p.token) + ": times decrease";
+      }
+    }
+    if (p.source >= exec.net->fan_in()) {
+      return "token " + std::to_string(p.token) + ": bad source wire";
+    }
+    if (!seen.insert(p.token).second) {
+      return "duplicate token id " + std::to_string(p.token);
+    }
+  }
+  std::vector<const TokenPlan*> by_proc(exec.plans.size());
+  for (std::size_t i = 0; i < exec.plans.size(); ++i) {
+    by_proc[i] = &exec.plans[i];
+  }
+  std::sort(by_proc.begin(), by_proc.end(),
+            [](const TokenPlan* a, const TokenPlan* b) {
+              if (a->process != b->process) return a->process < b->process;
+              return a->t_in() < b->t_in();
+            });
+  for (std::size_t i = 1; i < by_proc.size(); ++i) {
+    const TokenPlan* prev = by_proc[i - 1];
+    const TokenPlan* cur = by_proc[i];
+    if (prev->process == cur->process && cur->t_in() < prev->t_out()) {
+      return "process " + std::to_string(cur->process) +
+             " has overlapping tokens " + std::to_string(prev->token) + ", " +
+             std::to_string(cur->token);
+    }
+  }
+  return {};
+}
+
+TEST(TimedExecution, ValidateMatchesHashSetReference) {
+  const Network net = make_bitonic(4);
+  Xoshiro256 rng(2024);
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    TimedExecution exec;
+    exec.net = &net;
+    const std::uint32_t n = static_cast<std::uint32_t>(rng.below(24));
+    // Three layouts: the generator's (ids and processes in order),
+    // shuffled distinct ids, and colliding ids; small integer times so
+    // equal t_in ties are common.
+    const std::uint64_t layout = rng.below(3);
+    std::vector<TokenId> ids(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ids[i] = layout == 2 ? static_cast<TokenId>(rng.below(2 * n)) : i;
+    }
+    if (layout == 1) {
+      for (std::uint32_t i = n; i > 1; --i) {
+        std::swap(ids[i - 1], ids[rng.below(i)]);
+      }
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const ProcessId proc =
+          layout == 0 ? i / 4 : static_cast<ProcessId>(rng.below(4));
+      const double t_in =
+          layout == 0 ? 5.0 * (i % 4) + static_cast<double>(rng.below(3))
+                      : static_cast<double>(rng.below(12));
+      TokenPlan p = make_uniform_plan(
+          ids[i], proc, static_cast<std::uint32_t>(rng.below(4)), net.depth(),
+          t_in, static_cast<double>(rng.below(3)));
+      switch (rng.below(150)) {
+        case 0: p.times.pop_back(); break;
+        case 1: p.times.back() = p.times.front() - 1.0; break;
+        case 2: p.source = net.fan_in(); break;
+        default: break;
+      }
+      exec.plans.push_back(std::move(p));
+    }
+    const std::string want = validate_reference(exec);
+    ASSERT_EQ(validate(exec), want) << "trial " << trial;
+    if (!want.empty()) ++rejected;
+  }
+  // Both verdicts occur often enough for the comparison to mean something.
+  EXPECT_GT(rejected, 1000u);
+  EXPECT_LT(rejected, 3900u);
 }
 
 TEST(Simulator, SequentialTokensGetIncreasingValues) {

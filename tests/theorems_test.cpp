@@ -11,10 +11,10 @@
 #include "core/sequential.hpp"
 #include "core/valency.hpp"
 #include "sim/adversary.hpp"
-#include "sim/consistency.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timing.hpp"
 #include "sim/workload.hpp"
+#include "trace/consistency.hpp"
 #include "util/rng.hpp"
 
 namespace cn {

@@ -11,9 +11,13 @@
 // scalar interpreter and reproduce its behavior exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/compiled.hpp"
@@ -24,6 +28,7 @@
 #include "fault/faulted_sim.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timed_execution.hpp"
+#include "sim/wave_order.hpp"
 #include "sim/workload.hpp"
 #include "trace/consistency.hpp"
 #include "trace/sink.hpp"
@@ -361,9 +366,9 @@ TEST(SimulateWave, ReservedTokenIdError) {
 
 // Equal-time adverse-rank overlap: validate() passes (back-to-back times
 // are legal) but the runtime event order issues process 9's second token
-// before its first completes. The wave pre-check must detect this and
-// fall back, reproducing the scalar error AND the scalar's partial
-// stream emission.
+// before its first completes. The wave path must detect this (process
+// 9's run is not sorted) and fall back, reproducing the scalar error AND
+// the scalar's partial stream emission.
 TimedExecution make_overlap_exec(const Network& net) {
   TimedExecution exec;
   exec.net = &net;
@@ -554,6 +559,320 @@ TEST(FaultedWave, StreamMatchesScalarStream) {
     EXPECT_EQ(scalar_collect.trace(), wave_collect.trace());
     expect_same_report(scalar_cons.report(), wave_cons.report());
   }
+}
+
+// ---------------------------------------------------------------------
+// The canonical order across chunk boundaries: the per-process merge
+// against a full sort, and wave against scalar on schedules of several
+// kWaveChunk-sized rounds.
+// ---------------------------------------------------------------------
+
+TimedExecution make_sweep_exec(const Network& net, std::uint32_t processes,
+                               std::uint32_t ops, std::uint64_t seed,
+                               double c_max = 4.0) {
+  WorkloadSpec spec;
+  spec.processes = processes;
+  spec.tokens_per_process = ops;
+  spec.c_min = 1.0;
+  spec.c_max = c_max;
+  Xoshiro256 rng(seed);
+  return generate_workload(net, spec, rng);
+}
+
+std::size_t num_steps(const TimedExecution& exec) {
+  return exec.plans.size() * (exec.net->depth() + 1);
+}
+
+/// Every step of `exec` (hops 0..min(stop, depth) per token, none for
+/// stop 0), sorted by the scalar heap's (time, rank, token, hop) key.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> sorted_steps(
+    const TimedExecution& exec, const std::vector<std::uint32_t>& stop) {
+  std::vector<std::tuple<double, double, TokenId, std::uint32_t,
+                         std::uint32_t>>
+      keyed;
+  const std::uint32_t d = exec.net->depth();
+  for (std::uint32_t i = 0; i < exec.plans.size(); ++i) {
+    const TokenPlan& p = exec.plans[i];
+    const std::uint32_t s =
+        p.token < stop.size() ? stop[p.token] : fault::kCompletes;
+    if (s == 0) continue;
+    for (std::uint32_t h = 0; h <= std::min(s, d); ++h) {
+      keyed.emplace_back(p.times[h], p.rank, p.token, h, i);
+    }
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
+  for (const auto& k : keyed) out.emplace_back(std::get<4>(k), std::get<3>(k));
+  return out;
+}
+
+/// Drains `order` into (plan, hop) pairs, checking the chunk sizes.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> drain(WaveOrder& order) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
+  while (order.remaining() > 0) {
+    const std::size_t want = std::min(kWaveChunk, order.remaining());
+    const std::span<const WaveEvent> chunk = order.next_chunk();
+    EXPECT_EQ(chunk.size(), want);
+    for (const WaveEvent& e : chunk) out.emplace_back(e.plan, e.hop);
+  }
+  EXPECT_TRUE(order.next_chunk().empty());
+  return out;
+}
+
+/// Plans of `exec` shuffled in list order.
+void shuffle_plans(TimedExecution& exec, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  for (std::size_t i = exec.plans.size(); i > 1; --i) {
+    std::swap(exec.plans[i - 1], exec.plans[rng.below(i)]);
+  }
+}
+
+/// Renames process p to ids[p % ids.size()] + p / ids.size(), keeping
+/// the processes distinct but their ids far apart.
+void spread_processes(TimedExecution& exec,
+                      const std::vector<ProcessId>& ids) {
+  for (TokenPlan& p : exec.plans) {
+    p.process = ids[p.process % ids.size()] +
+                static_cast<ProcessId>(p.process / ids.size());
+  }
+}
+
+/// Makes token `victim` of its process enter at the exact time its
+/// predecessor (the plan listed just before it, same process) leaves,
+/// with a lower rank: validate() accepts it, the step order overlaps.
+void force_overlap(TimedExecution& exec, std::size_t victim) {
+  const TokenPlan& prev = exec.plans[victim - 1];
+  TokenPlan& cur = exec.plans[victim];
+  ASSERT_EQ(prev.process, cur.process);
+  cur.times[0] = prev.t_out();
+  cur.rank = prev.rank - 0.5;
+}
+
+void expect_wave_equals_scalar(const TimedExecution& exec,
+                               const std::string& what) {
+  SimArena arena;
+  const SimulationResult scalar = simulate(exec);
+  expect_same_result(scalar, simulate_wave(exec, arena), what);
+
+  CollectSink scalar_sink, wave_sink;
+  const SimulationResult s = simulate_stream(exec, arena, scalar_sink);
+  const SimulationResult w = simulate_wave_stream(exec, arena, wave_sink);
+  EXPECT_EQ(s.error, w.error) << what;
+  EXPECT_EQ(scalar_sink.trace(), wave_sink.trace()) << what;
+}
+
+void expect_faulted_wave_equals_scalar(const TimedExecution& exec,
+                                       const fault::SimFaults& faults,
+                                       const std::string& what) {
+  SimArena arena;
+  expect_same_faulted(fault::simulate_faulted(exec, faults),
+                      fault::simulate_faulted_wave(exec, faults, arena), what);
+
+  CollectSink scalar_sink, wave_sink;
+  const fault::FaultedSimResult s =
+      fault::simulate_faulted_stream(exec, faults, scalar_sink);
+  const fault::FaultedSimResult w =
+      fault::simulate_faulted_wave_stream(exec, faults, arena, wave_sink);
+  EXPECT_EQ(s.error, w.error) << what;
+  EXPECT_EQ(scalar_sink.trace(), wave_sink.trace()) << what;
+}
+
+TEST(WaveOrder, MergeEqualsFullSortAcrossChunks) {
+  const Network b8 = make_bitonic(8);
+  const Network b32 = make_bitonic(32);
+  WaveOrder order;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    for (int variant = 0; variant < 3; ++variant) {
+      TimedExecution exec = seed == 3 ? make_sweep_exec(b32, 8, 128, seed)
+                                      : make_sweep_exec(b8, 16, 128, seed);
+      ASSERT_GE(num_steps(exec), 3 * kWaveChunk);
+      if (variant >= 1) shuffle_plans(exec, seed);
+      if (variant == 2) spread_processes(exec, {0, 7, 1u << 20});
+      ASSERT_EQ(validate(exec), "");
+      ASSERT_TRUE(order.build(exec));
+      const std::size_t processes = seed == 3 ? 8 : 16;
+      EXPECT_EQ(order.runs(), processes);
+      EXPECT_EQ(order.remaining(), num_steps(exec));
+      EXPECT_EQ(drain(order), sorted_steps(exec, {}))
+          << "seed " << seed << " variant " << variant;
+    }
+  }
+}
+
+TEST(WaveOrder, StopsTrimRunsAndDropNeverIssuedTokens) {
+  const Network net = make_bitonic(8);
+  TimedExecution exec = make_sweep_exec(net, 16, 160, 5);
+  shuffle_plans(exec, 5);
+  Xoshiro256 rng(55);
+  std::vector<std::uint32_t> stop(exec.plans.size(), fault::kCompletes);
+  for (std::uint32_t& s : stop) {
+    switch (rng.below(6)) {
+      case 0: s = 0; break;  // never issued
+      case 1:
+        s = static_cast<std::uint32_t>(rng.below(net.depth()) + 1);
+        break;
+      case 2: s = net.depth() + 3; break;  // past the counter: completes
+      default: break;
+    }
+  }
+  // Ids past the end of the overlay count as completing.
+  stop.resize(stop.size() - 40);
+  WaveOrder order;
+  ASSERT_TRUE(order.build(exec, stop));
+  const auto want = sorted_steps(exec, stop);
+  ASSERT_GE(want.size(), 3 * kWaveChunk);
+  EXPECT_EQ(order.remaining(), want.size());
+  EXPECT_EQ(drain(order), want);
+}
+
+TEST(WaveOrder, RunBreaksExactlyAtStepOrderOverlaps) {
+  const Network net = make_bitonic(8);
+  WaveOrder order;
+  // Back-to-back tokens (t_in == previous t_out) with the usual
+  // increasing ranks are legal; an adverse rank at a late token in a
+  // multi-chunk schedule is an overlap, in the scalar loop and here.
+  TimedExecution exec = make_sweep_exec(net, 16, 128, 9);
+  for (std::size_t i = 1; i < exec.plans.size(); ++i) {
+    if (exec.plans[i].process == exec.plans[i - 1].process) {
+      exec.plans[i].times[0] = exec.plans[i - 1].t_out();
+    }
+  }
+  ASSERT_EQ(validate(exec), "");
+  ASSERT_TRUE(simulate(exec).ok());
+  EXPECT_TRUE(order.build(exec));
+
+  const std::size_t victim = exec.plans.size() - 200;
+  force_overlap(exec, victim);
+  ASSERT_EQ(validate(exec), "");
+  const SimulationResult scalar = simulate(exec);
+  ASSERT_NE(scalar.error.find("step-order overlap"), std::string::npos)
+      << scalar.error;
+  EXPECT_FALSE(order.build(exec));
+  EXPECT_EQ(order.remaining(), 0u);
+
+  // A doomed predecessor frees its process at its drop hop, before the
+  // overlapping entry: no overlap under that overlay.
+  std::vector<std::uint32_t> stop(exec.plans.size(), fault::kCompletes);
+  stop[exec.plans[victim - 1].token] = 1;
+  EXPECT_TRUE(order.build(exec, stop));
+  // Never issued, the predecessor has no run at all.
+  stop[exec.plans[victim - 1].token] = 0;
+  EXPECT_TRUE(order.build(exec, stop));
+}
+
+TEST(SimulateWave, MatchesScalarAcrossChunkBoundaries) {
+  const Network b8 = make_bitonic(8);
+  const Network b32 = make_bitonic(32);
+  struct Case {
+    const Network* net;
+    std::uint32_t processes, ops;
+    std::string name;
+  };
+  // B(8) 16x64 is the sweep benchmark's shape (1.75 chunks); B(32) 8x64
+  // ends exactly on a chunk boundary; the x128 shapes run 3.5 and 4.
+  const std::vector<Case> cases = {{&b8, 16, 64, "B8 16x64"},
+                                   {&b8, 16, 128, "B8 16x128"},
+                                   {&b32, 8, 64, "B32 8x64"},
+                                   {&b32, 8, 128, "B32 8x128"}};
+  for (const Case& c : cases) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      const TimedExecution exec =
+          make_sweep_exec(*c.net, c.processes, c.ops, seed);
+      if (c.ops == 128) {
+        ASSERT_GE(num_steps(exec), 3 * kWaveChunk);
+      }
+      expect_wave_equals_scalar(exec, c.name + " seed " + std::to_string(seed));
+    }
+  }
+}
+
+TEST(SimulateWave, MatchesScalarOnReorderedAndSparseMultiChunkPlans) {
+  const Network net = make_bitonic(8);
+  // Shuffled plan list.
+  TimedExecution shuffled = make_sweep_exec(net, 16, 128, 11);
+  shuffle_plans(shuffled, 11);
+  expect_wave_equals_scalar(shuffled, "shuffled");
+
+  // One process's plans listed in reverse time order.
+  TimedExecution reversed = make_sweep_exec(net, 16, 128, 12);
+  std::reverse(reversed.plans.begin() + 3 * 128, reversed.plans.begin() + 4 * 128);
+  expect_wave_equals_scalar(reversed, "process 3 reversed");
+
+  // Sparse process ids: 0, 7 and 1 << 20 (plus offsets for the rest).
+  TimedExecution sparse = make_sweep_exec(net, 16, 128, 13);
+  spread_processes(sparse, {0, 7, 1u << 20});
+  shuffle_plans(sparse, 13);
+  expect_wave_equals_scalar(sparse, "sparse processes");
+  WaveOrder order;
+  ASSERT_TRUE(order.build(sparse));
+  EXPECT_EQ(order.runs(), 16u);
+}
+
+TEST(SimulateWave, MatchesScalarOnCrossProcessTiesAndLateOverlap) {
+  const Network net = make_bitonic(8);
+  // Equal times across processes: every process runs the same integer
+  // schedule, ranks deciding all order.
+  Xoshiro256 rng(77);
+  TimedExecution ties;
+  ties.net = &net;
+  const std::uint32_t d = net.depth();
+  for (TokenId t = 0; t < 16 * 128; ++t) {
+    ties.plans.push_back(make_uniform_plan(
+        t, /*process=*/t / 128, /*source=*/static_cast<std::uint32_t>(t % 8),
+        d, /*t_in=*/static_cast<double>((t % 128) * d), /*delay=*/1.0,
+        /*rank=*/static_cast<double>(rng.below(4)) + 8.0 * (t % 128)));
+  }
+  ASSERT_EQ(validate(ties), "");
+  ASSERT_GE(num_steps(ties), 3 * kWaveChunk);
+  ASSERT_TRUE(simulate(ties).ok());
+  expect_wave_equals_scalar(ties, "cross-process ties");
+
+  // An overlap in the third chunk: the wave path falls back, with the
+  // scalar error and partial stream.
+  TimedExecution late = make_sweep_exec(net, 16, 128, 14);
+  force_overlap(late, 10 * 128 + 100);
+  const SimulationResult scalar = simulate(late);
+  ASSERT_NE(scalar.error.find("step-order overlap"), std::string::npos);
+  expect_wave_equals_scalar(late, "late overlap");
+}
+
+TEST(FaultedWave, MatchesScalarAcrossChunkBoundaries) {
+  const Network b8 = make_bitonic(8);
+  const Network b32 = make_bitonic(32);
+  fault::FaultPlan plan;
+  plan.enabled = true;
+  plan.p_token_loss = 0.1;
+  plan.p_stuck_balancer = 0.1;
+  plan.p_process_crash = 0.3;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const Network& net = seed == 3 ? b32 : b8;
+    TimedExecution exec = seed == 3 ? make_sweep_exec(b32, 8, 128, seed)
+                                    : make_sweep_exec(b8, 16, 128, seed);
+    if (seed == 2) {
+      spread_processes(exec, {0, 7, 1u << 20});
+      shuffle_plans(exec, seed);
+    }
+    const fault::SimFaults faults =
+        fault::draw_sim_faults(net, exec, plan, seed);
+    ASSERT_GT(faults.tokens_lost, 0u);
+    ASSERT_GT(faults.tokens_not_issued, 0u);
+    expect_faulted_wave_equals_scalar(exec, faults,
+                                      "faulted seed " + std::to_string(seed));
+  }
+
+  // A late overlap behind a doomed and a completing predecessor.
+  TimedExecution late = make_sweep_exec(b8, 16, 128, 4);
+  const std::size_t victim = 10 * 128 + 100;
+  force_overlap(late, victim);
+  fault::SimFaults faults;
+  faults.stuck.assign(b8.num_balancers(), false);
+  faults.lost_before_hop.assign(late.plans.size(), fault::kCompletes);
+  expect_faulted_wave_equals_scalar(late, faults, "late overlap");
+  ASSERT_FALSE(fault::simulate_faulted(late, faults).ok());
+  faults.lost_before_hop[late.plans[victim - 1].token] = 2;
+  faults.tokens_lost = 1;
+  ASSERT_TRUE(fault::simulate_faulted(late, faults).ok());
+  expect_faulted_wave_equals_scalar(late, faults, "overlap behind a drop");
 }
 
 // ---------------------------------------------------------------------
