@@ -49,6 +49,7 @@
 #include "service/service.hpp"
 #include "sim/adversary.hpp"
 #include "sim/simulator.hpp"
+#include "sim/wave_order.hpp"
 #include "sim/workload.hpp"
 #include "trace/consistency.hpp"
 #include "trace/streaming.hpp"
@@ -666,6 +667,75 @@ std::string json_shard_network(const ShardNetworkRates& r) {
   return os.str();
 }
 
+/// The wave interpreters' step order on B(8): WaveOrder::build() plus a
+/// drain of every chunk, per step, on the sweep_stream shape (16
+/// processes x 64 ops, c_max/c_min = 4) and on 1024 single-token
+/// processes (one process per token as in sim_burst, so runs outnumber
+/// a window's steps). Alternating rounds, best rate kept. Ungated: no
+/// key of this row matches the --check ratio patterns.
+struct StepOrderRates {
+  std::size_t sweep_steps = 0;
+  std::size_t single_steps = 0;
+  double sweep_steps_per_sec = 0.0;
+  double single_steps_per_sec = 0.0;
+};
+
+double measure_step_order_round(const TimedExecution& exec, WaveOrder& order,
+                                std::size_t steps, double seconds) {
+  return cn::bench::measure_rate(steps, seconds, [&] {
+    if (!order.build(exec)) std::abort();
+    while (order.remaining() > 0) {
+      benchmark::DoNotOptimize(order.next_chunk().data());
+    }
+  });
+}
+
+StepOrderRates measure_step_order(double min_seconds) {
+  constexpr int kRounds = 4;
+  const Network topo = make_bitonic(8);
+  const auto make = [&](std::uint32_t processes, std::uint32_t ops) {
+    WorkloadSpec wl;
+    wl.processes = processes;
+    wl.tokens_per_process = ops;
+    wl.c_min = 1.0;
+    wl.c_max = 4.0;
+    wl.local_delay_max = 2.0;
+    Xoshiro256 rng(1);
+    return generate_workload(topo, wl, rng);
+  };
+  const TimedExecution sweep = make(16, 64);
+  const TimedExecution single = make(1024, 1);
+  StepOrderRates r;
+  r.sweep_steps = sweep.plans.size() * (topo.depth() + 1);
+  r.single_steps = single.plans.size() * (topo.depth() + 1);
+  WaveOrder order;
+  const double round_seconds = min_seconds / (2 * kRounds);
+  for (int round = 0; round < kRounds; ++round) {
+    r.sweep_steps_per_sec = std::max(
+        r.sweep_steps_per_sec,
+        measure_step_order_round(sweep, order, r.sweep_steps, round_seconds));
+    r.single_steps_per_sec = std::max(
+        r.single_steps_per_sec,
+        measure_step_order_round(single, order, r.single_steps,
+                                 round_seconds));
+  }
+  return r;
+}
+
+std::string json_step_order(const StepOrderRates& r) {
+  std::ostringstream os;
+  os << std::setprecision(6);
+  os << "  \"step_order_bitonic8\": {\n"
+     << "    \"sweep_16x64_steps\": " << r.sweep_steps << ",\n"
+     << "    \"sweep_16x64_ns_per_step\": " << 1e9 / r.sweep_steps_per_sec
+     << ",\n"
+     << "    \"single_token_1024_steps\": " << r.single_steps << ",\n"
+     << "    \"single_token_1024_ns_per_step\": "
+     << 1e9 / r.single_steps_per_sec << "\n"
+     << "  }";
+  return os.str();
+}
+
 /// Accepted-request throughput of the sharded counting service under 8
 /// closed-loop clients: classic one-request submit/wait cycles vs
 /// submit_batch(16) on the batched ingress (one ticket-range draw, at
@@ -993,6 +1063,7 @@ int json_main(const CliArgs& args) {
   const ConcurrentBatchRates cb8 = measure_concurrent_batch(8, min_seconds);
   const ConcurrentBatchRates cb32 = measure_concurrent_batch(32, min_seconds);
   const ShardNetworkRates sn = measure_shard_network(min_seconds);
+  const StepOrderRates so = measure_step_order(min_seconds);
   const ServiceIngressRates si = measure_service_ingress(min_seconds);
 
   std::ostringstream os;
@@ -1037,6 +1108,7 @@ int json_main(const CliArgs& args) {
      << json_concurrent_batch(8, cb8) << ",\n"
      << json_concurrent_batch(32, cb32) << ",\n"
      << json_shard_network(sn) << ",\n"
+     << json_step_order(so) << ",\n"
      << json_service_ingress(si) << "\n"
      << "}\n";
 
@@ -1091,6 +1163,9 @@ int json_main(const CliArgs& args) {
             << 1e9 / sn.plain_tokens_per_sec[1] << ", atomic "
             << 1e9 / sn.atomic_tokens_per_sec[1] << " at k=16 ("
             << sn.ratio(1) << "x)\n"
+            << "step order B(8): " << 1e9 / so.sweep_steps_per_sec
+            << " ns/step on 16x64, " << 1e9 / so.single_steps_per_sec
+            << " ns/step on 1024 single-token processes\n"
             << "ingress B(8) @8C: " << si.single_req_per_sec / 1e3
             << "k single req/s, " << si.batched_req_per_sec / 1e3
             << "k batched req/s (" << si.batched_over_single()

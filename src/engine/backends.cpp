@@ -127,12 +127,25 @@ void finish_simulated_stream(RunResult& out, const RunSpec& spec,
   if (!sim.ok()) out.error = "simulation failed: " + sim.error;
 }
 
-/// Re-interprets an already-built execution under the spec's fault
-/// overlay (wave / optimizer: the adversarial schedule is built pristine,
-/// then the faults hit it). Replaces the trace and resets the report so
-/// run_backend re-analyzes the degraded trace.
-bool apply_sim_faults(RunResult& out, const RunSpec& spec) {
-  if (!spec.fault.sim_faults() || !out.ok()) return out.ok();
+/// Re-interprets an already-built execution (wave / optimizer: the
+/// adversarial schedule is built, and simulated, by the scalar
+/// interpreter) under the spec's fault overlay, or without one through
+/// the wave interpreter when wave_exec asks for it. Replaces the trace
+/// and resets the report so run_backend re-analyzes the new trace.
+bool reinterpret(RunResult& out, const RunSpec& spec) {
+  if (!out.ok()) return false;
+  if (!spec.fault.sim_faults()) {
+    if (!spec.wave_exec) return true;
+    // The wave interpreter fails exactly where the scalar one did, and
+    // the backend has already dealt with that.
+    SimArena arena;
+    SimulationResult sim = simulate_wave(out.exec, arena);
+    if (sim.ok()) {
+      out.trace = std::move(sim.trace);
+      out.report = ConsistencyReport{};
+    }
+    return true;
+  }
   if (out.exec.net == nullptr || out.exec.plans.empty()) {
     out.error = "faulted simulation failed: backend produced no execution";
     return false;
@@ -442,7 +455,7 @@ class WaveBackend final : public TraceSource {
     r.result.metrics["wave3_size"] = static_cast<double>(wave.wave3_size);
     r.result.metrics["race_depth"] =
         static_cast<double>(split.race_depth(spec.ell));
-    apply_sim_faults(r.result, spec);
+    reinterpret(r.result, spec);
     return std::move(r.result);
   }
 };
@@ -479,7 +492,7 @@ class OptimizerBackend final : public TraceSource {
     if (sim.ok()) r.result.trace = sim.trace;
     r.result.metrics["best_fraction"] = opt.best_fraction;
     r.result.metrics["evaluations"] = static_cast<double>(opt.evaluations);
-    apply_sim_faults(r.result, spec);
+    reinterpret(r.result, spec);
     return std::move(r.result);
   }
 };

@@ -147,10 +147,10 @@ struct RunSpec {
   /// internally and replay into the sink.
   bool keep_trace = true;
   /// When true, the simulated backends (simulator / sim_burst /
-  /// sim_heterogeneous, plus the wave and optimizer fault re-runs)
-  /// execute through the level-synchronous wave interpreters
-  /// (simulate_wave / simulate_faulted_wave) instead of the scalar event
-  /// loop. Byte-identical results — trace, errors, streaming emission,
+  /// sim_heterogeneous, plus the wave and optimizer re-runs of their
+  /// built schedule) execute through the level-synchronous wave
+  /// interpreters (simulate_wave / simulate_faulted_wave) instead of the
+  /// scalar event loop. Byte-identical results — trace, errors, streaming emission,
   /// fault metrics — selected per trial; networks the wave path cannot
   /// take fall back to the scalar interpreter internally.
   bool wave_exec = false;

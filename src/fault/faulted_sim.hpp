@@ -97,10 +97,10 @@ FaultedSimResult simulate_faulted_stream(const TimedExecution& exec,
                                          TraceSink& sink);
 
 /// Level-synchronous wave interpreter of the same overlay: the canonical
-/// (time, rank, token, hop) event order is merged from per-process runs
-/// (sim/wave_order.hpp; a doomed token's run entry stops at its drop hop,
-/// a never-issued token has none), chunked, and each chunk is bucketed
-/// by level, with the fault overlay applied per wave —
+/// (time, rank, token, hop) event order is drawn from per-process runs
+/// by time windows (sim/wave_order.hpp; a doomed token's run entry stops
+/// at its drop hop, a never-issued token has none), chunked, and each
+/// chunk is bucketed by level, with the fault overlay applied per wave —
 /// a doomed token's drop event is consumed at its level without drawing a
 /// sequence number, and stuck balancers freeze the explicit per-balancer
 /// position the wave loop advances. Routing runs over the compiled

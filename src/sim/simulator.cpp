@@ -49,7 +49,7 @@ struct SimArena::Scratch {
   std::vector<std::uint64_t> pos_of_process;
   IssueWindowBuffer window;  ///< Ring reused across calls.
   // --- wave mode (per-token state is indexed by plan) -------------------
-  WaveOrder canonical;                      ///< The merged step order.
+  WaveOrder canonical;                      ///< The canonical step order.
   std::vector<std::uint32_t> bucket_start;  ///< Per-level chunk offsets.
   std::vector<std::uint32_t> bucket_pos;    ///< Scatter cursor per level.
   std::vector<std::uint32_t> order;         ///< Chunk indices by level.
@@ -252,7 +252,7 @@ SimulationResult simulate_wave_with(const TimedExecution& exec,
     }
   }
 
-  // The canonical event order, merged from the per-process runs. The
+  // The canonical event order, drawn from the per-process runs. The
   // scalar pop order is exactly this order — at every pop the heap holds
   // each unfinished token's earliest unprocessed event, and a successor
   // event never sorts before its predecessor (times are non-decreasing

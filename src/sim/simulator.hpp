@@ -63,8 +63,8 @@ class SimArena {
   /// Compiled routing tables plus level structure for `net`, cached like
   /// acquire(): the shared immutable input of the wave interpreters (the
   /// faulted one lives in fault/faulted_sim.hpp), plus the arena's
-  /// canonical-order producer (sim/wave_order.hpp) they both merge
-  /// with. Also refreshes the internal wave-mode state arena.
+  /// canonical-order producer (sim/wave_order.hpp) they both draw
+  /// their steps from. Also refreshes the internal wave-mode state arena.
   struct WaveTables {
     const CompiledNetwork* compiled;
     const WavePlan* plan;
@@ -122,10 +122,11 @@ SimulationResult simulate_stream(const TimedExecution& exec, SimArena& arena,
 /// crossing times), and the scalar event heap pops in exactly the total
 /// order (time, rank, token, hop) — a pending successor event never
 /// precedes its predecessor under that key. A process's tokens run one
-/// after another, so that order is a merge of one sorted run per
-/// process: WaveOrder (sim/wave_order.hpp) groups the plans into those
-/// runs and merges them with a loser tree, O(E log P) for E steps of P
-/// processes, one fixed-size chunk at a time. Each chunk is bucketed by
+/// after another, so each process's steps form one sorted run:
+/// WaveOrder (sim/wave_order.hpp) groups the plans into those runs and
+/// cuts the order into time windows, each counting-sorted by time bucket
+/// and ordered by the full key inside a bucket — O(E) for E steps, one
+/// fixed-size chunk at a time. Each chunk is bucketed by
 /// hop (= level, for a uniform network) and each level runs as one wave
 /// through the core wave kernels (core/wave.hpp). Per-balancer arrival
 /// order is preserved because a balancer lives at exactly one level and

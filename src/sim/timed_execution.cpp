@@ -1,6 +1,7 @@
 #include "sim/timed_execution.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -43,6 +44,14 @@ std::string validate(const TimedExecution& exec) {
       return "token " + std::to_string(p.token) + ": plan has " +
              std::to_string(p.times.size()) + " times, expected " +
              std::to_string(want);
+    }
+    for (const double t : p.times) {
+      if (!std::isfinite(t)) {
+        return "token " + std::to_string(p.token) + ": non-finite time";
+      }
+    }
+    if (std::isnan(p.rank)) {
+      return "token " + std::to_string(p.token) + ": rank is NaN";
     }
     for (std::size_t k = 1; k < p.times.size(); ++k) {
       if (p.times[k] < p.times[k - 1]) {

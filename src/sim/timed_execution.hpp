@@ -38,10 +38,12 @@ struct TimedExecution {
   std::vector<TokenPlan> plans;
 };
 
-/// Validates well-formedness: plan sizes equal d(G)+1, times non-decreasing,
-/// token ids unique, sources in range, and tokens of the same process do
-/// not overlap in time (paper Section 2.2, rule 3). Returns a description
-/// of the first problem, or an empty string when valid.
+/// Validates well-formedness: plan sizes equal d(G)+1, times finite and
+/// non-decreasing, ranks not NaN (so that (time, rank, token) is a total
+/// order), token ids unique, sources in range, and tokens of the same
+/// process do not overlap in time (paper Section 2.2, rule 3).
+/// Returns a description of the first problem, or an empty string when
+/// valid.
 std::string validate(const TimedExecution& exec);
 
 /// Convenience: builds a plan with constant wire delay `delay` starting at

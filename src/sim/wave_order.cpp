@@ -1,49 +1,66 @@
 #include "sim/wave_order.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 
 namespace cn {
 
 namespace {
 
-/// Key of an exhausted run: after every real step, because real tokens
-/// never carry the reserved id.
-constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr TokenId kExhausted = std::numeric_limits<TokenId>::max();
+/// Steps a window aims to hold, and buckets per step: at half a step
+/// per bucket, most buckets need no ordering at all.
+constexpr std::size_t kWindow = 1024;
+constexpr std::size_t kBucketsPerStep = 2;
+/// Steps a window may run past the end of the chunk it fills; they are
+/// carried into the next chunk.
+constexpr std::size_t kSlack = 64;
+/// Buckets up to this size are ordered by insertion, fuller ones sorted.
+constexpr std::uint32_t kInsertionMax = 16;
 
-/// (time, rank, token) strict order. Written with `<` both ways so that
-/// an exhausted run loses every match against a live one even if a time
-/// or rank is NaN; for ordinary numbers it is the interpreters' order.
-/// `hop` never decides: two heads always belong to different tokens.
+constexpr double kMaxTime = std::numeric_limits<double>::max();
+constexpr double kMinWidth = std::numeric_limits<double>::denorm_min();
+
+/// The interpreters' (time, rank, token) order of two different tokens'
+/// steps.
 bool key_before(double ta, double ra, TokenId toka, double tb, double rb,
                 TokenId tokb) {
-  if (ta < tb) return true;
-  if (tb < ta) return false;
-  if (ra < rb) return true;
-  if (rb < ra) return false;
+  if (ta != tb) return ta < tb;
+  if (ra != rb) return ra < rb;
   return toka < tokb;
 }
 
 }  // namespace
 
-bool WaveOrder::before(const Leaf& a, const Leaf& b) noexcept {
-  return key_before(a.time, a.rank, a.token, b.time, b.rank, b.token);
-}
-
 std::uint32_t WaveOrder::last_hop(const TokenPlan& p) const noexcept {
   return p.token < stop_.size() ? std::min(stop_[p.token], depth_) : depth_;
 }
 
-void WaveOrder::load(Leaf& l) const noexcept {
-  const TokenPlan& p = plans_[order_[l.pos]];
-  l.time = p.times[0];
-  l.rank = p.rank;
-  l.token = p.token;
-  l.hop = 0;
-  l.last = last_hop(p);
-  l.times = p.times.data();
+bool WaveOrder::advance(Run& r) const noexcept {
+  if (r.hop < r.last) {
+    ++r.hop;
+    return true;
+  }
+  if (++r.pos == r.end) return false;
+  r.plan = order_[r.pos];
+  const TokenPlan& p = plans_[r.plan];
+  r.times = p.times.data();
+  r.last = last_hop(p);
+  r.hop = 0;
+  return true;
+}
+
+double WaveOrder::time_of(WaveEvent e) const noexcept {
+  return plans_[e.plan].times[e.hop];
+}
+
+bool WaveOrder::step_before(double ta, WaveEvent a,
+                            WaveEvent b) const noexcept {
+  const TokenPlan& pb = plans_[b.plan];
+  const double tb = pb.times[b.hop];
+  if (ta != tb) return ta < tb;
+  if (a.plan == b.plan) return a.hop < b.hop;
+  const TokenPlan& pa = plans_[a.plan];
+  return key_before(ta, pa.rank, pa.token, tb, pb.rank, pb.token);
 }
 
 bool WaveOrder::build(const TimedExecution& exec,
@@ -53,6 +70,8 @@ bool WaveOrder::build(const TimedExecution& exec,
   stop_ = stop;
   runs_ = 0;
   remaining_ = 0;
+  filled_ = 0;
+  handed_ = 0;
 
   order_.clear();
   for (std::uint32_t i = 0; i < exec.plans.size(); ++i) {
@@ -74,12 +93,16 @@ bool WaveOrder::build(const TimedExecution& exec,
   }
 
   // Cut the runs; each token boundary inside a run must keep the run
-  // sorted, which is the no-overlap condition (see the header).
-  leaves_.clear();
+  // sorted, which is the no-overlap condition (see the header). The
+  // first and last times bound the span the windows will cover.
+  live_.clear();
+  double lo = kMaxTime;
+  double hi = -kMaxTime;
   for (std::uint32_t k = 0; k < order_.size(); ++k) {
     const TokenPlan& cur = plans_[order_[k]];
     const std::uint32_t last = last_hop(cur);
     remaining_ += last + 1;
+    hi = std::max(hi, cur.times[last]);
     if (k > 0 && plans_[order_[k - 1]].process == cur.process) {
       const TokenPlan& prev = plans_[order_[k - 1]];
       if (!key_before(prev.times[last_hop(prev)], prev.rank, prev.token,
@@ -89,89 +112,172 @@ bool WaveOrder::build(const TimedExecution& exec,
       }
       continue;
     }
-    if (!leaves_.empty()) leaves_.back().end = k;
-    Leaf l{};
-    l.pos = k;
-    load(l);
-    leaves_.push_back(l);
+    if (!live_.empty()) live_.back().end = k;
+    live_.push_back({cur.times.data(), order_[k], k, 0, 0, last});
+    lo = std::min(lo, cur.times[0]);
   }
-  runs_ = leaves_.size();
-  if (leaves_.empty()) return true;
-  leaves_.back().end = static_cast<std::uint32_t>(order_.size());
+  runs_ = live_.size();
+  if (live_.empty()) return true;
+  live_.back().end = static_cast<std::uint32_t>(order_.size());
 
-  // Loser tree over M = bit_ceil(runs) leaves, padded with exhausted
-  // ones: node n in [1, M) has children 2n and 2n+1, leaf i sits at
-  // position M + i. tree_[n] holds the loser of node n's match, with its
-  // head time cached in loser_time_[n], and tree_[0] the overall winner.
-  // The initial matches run bottom-up, with each node's winner kept in
-  // win_. (M == 1: win_[1] is leaf 0.)
-  const std::size_t m = std::bit_ceil(leaves_.size());
-  Leaf empty{};
-  empty.time = kInf;
-  empty.rank = kInf;
-  empty.token = kExhausted;
-  leaves_.resize(m, empty);
-  tree_.assign(m, 0);
-  loser_time_.assign(m, 0.0);
-  win_.assign(2 * m, 0);
-  for (std::size_t i = 0; i < m; ++i) {
-    win_[m + i] = static_cast<std::uint32_t>(i);
-  }
-  for (std::size_t n = m - 1; n >= 1; --n) {
-    const std::uint32_t a = win_[2 * n];
-    const std::uint32_t b = win_[2 * n + 1];
-    const bool b_wins = before(leaves_[b], leaves_[a]);
-    win_[n] = b_wins ? b : a;
-    tree_[n] = b_wins ? a : b;
-    loser_time_[n] = leaves_[tree_[n]].time;
-  }
-  tree_[0] = win_[1];
-  chunk_.resize(kWaveChunk);
+  // The first window assumes evenly spaced steps; later ones adapt.
+  lo_ = lo;
+  last_ = hi;
+  spacing_ = std::clamp((hi - lo) / static_cast<double>(remaining_),
+                        kMinWidth, kMaxTime);
+  bucket_.resize(kBucketsPerStep * kWindow);
+  if (chunk_.size() < kWaveChunk + kSlack) chunk_.resize(kWaveChunk + kSlack);
   return true;
 }
 
-void WaveOrder::replay(std::uint32_t leaf) noexcept {
-  // Match outcomes are coin flips to a branch predictor, so the winner
-  // and the stored loser are swapped with masks rather than branches;
-  // only equal (or unordered) times take the full-key branch.
-  std::uint32_t winner = leaf;
-  std::uint64_t wt = std::bit_cast<std::uint64_t>(leaves_[leaf].time);
-  for (std::size_t n = (leaf + leaves_.size()) >> 1; n > 0; n >>= 1) {
-    const std::uint32_t other = tree_[n];
-    const std::uint64_t ot = std::bit_cast<std::uint64_t>(loser_time_[n]);
-    const double otd = std::bit_cast<double>(ot);
-    const double wtd = std::bit_cast<double>(wt);
-    bool swap = otd < wtd;
-    if (!(swap | (wtd < otd))) [[unlikely]] {
-      swap = before(leaves_[other], leaves_[winner]);
+void WaveOrder::fill_window(std::size_t room) {
+  // Every step left in the runs has time >= lo_, the earliest head, so
+  // a window [lo, hi] takes a prefix of each run and, across runs, every
+  // step that sorts before any step it leaves behind. A window aims at
+  // min(kWindow, room) steps; when that covers every step left, it spans
+  // them all.
+  const double lo = lo_;
+  const std::size_t left = remaining_ - filled_;
+  const std::size_t target = std::min<std::size_t>({room, left, kWindow});
+  const bool all = target == left;
+  const auto nb = static_cast<std::uint32_t>(kBucketsPerStep * target);
+  double width = std::min(all ? last_ - lo : spacing_ * target, kMaxTime);
+  std::uint32_t* const count = bucket_.data();
+  for (;;) {
+    const double hi = std::min(lo + width, kMaxTime);
+    const bool instant = !(lo < hi);
+    // Bucket b holds times with floor((t - lo) * scale) == b, clamped to
+    // the last bucket: monotone in t, so buckets are in time order. A
+    // width below 2^-960 is first scaled up by an exact power of two so
+    // that the scale stays finite; an instant is one bucket.
+    const double pre = width < 0x1p-960 ? 0x1p+960 : 1.0;
+    const double scale = instant ? 0.0 : nb / (width * pre);
+    const auto bucket = [lo, pre, scale, nb](double t) {
+      const double x = (t - lo) * pre * scale;
+      return x < nb ? static_cast<std::uint32_t>(x) : nb - 1;
+    };
+
+    // Count pass: the window's histogram, runs untouched. It stops
+    // early once the window is far past the chunk's room; an instant,
+    // which cannot be narrowed, is always counted whole.
+    std::fill_n(count, nb, 0u);
+    const std::size_t limit = instant ? std::numeric_limits<std::size_t>::max()
+                                      : 2 * room + kSlack;
+    std::size_t total = 0;
+    for (const Run& r : live_) {
+      Run c = r;
+      while (c.times[c.hop] <= hi) {
+        ++count[bucket(c.times[c.hop])];
+        if (++total > limit || !advance(c)) break;
+      }
+      if (total > limit) break;
     }
-    const std::uint64_t mask = 0 - static_cast<std::uint64_t>(swap);
-    const std::uint32_t mask32 = static_cast<std::uint32_t>(mask);
-    tree_[n] = (winner & mask32) | (other & ~mask32);
-    loser_time_[n] = std::bit_cast<double>((wt & mask) | (ot & ~mask));
-    winner = (other & mask32) | (winner & ~mask32);
-    wt = (ot & mask) | (wt & ~mask);
+
+    // Take whole buckets: all of them when the window fits the chunk,
+    // else the longest prefix that fits, running past the chunk's end
+    // by at most kSlack steps. A window counted only in part, or whose
+    // first bucket alone is too full, is retried narrower, at most half
+    // as wide: down to where the room runs out, or to its first bucket.
+    std::uint32_t take = nb;
+    if (total > room && !instant) {
+      std::size_t sum = 0;
+      std::uint32_t b = 0;
+      while (sum + count[b] <= room) sum += count[b++];
+      const bool counted = total <= limit;
+      if (counted && sum + count[b] - room <= kSlack) {
+        take = b + 1;
+      } else if (counted && sum > 0) {
+        take = b;
+      } else {
+        width = width / nb * std::min(std::max(b, 1u), nb / 2);
+        continue;
+      }
+    }
+
+    // Emit pass: scatter the taken steps into chunk_ by bucket.
+    std::size_t pos = filled_;
+    bool crowded = false;
+    for (std::uint32_t b = 0; b < take; ++b) {
+      const std::uint32_t c = count[b];
+      crowded |= c > kInsertionMax;
+      count[b] = static_cast<std::uint32_t>(pos);
+      pos += c;
+    }
+    if (chunk_.size() < pos) chunk_.resize(pos);
+    WaveEvent* const out = chunk_.data();
+    double next_lo = kMaxTime;
+    for (std::size_t i = 0; i < live_.size();) {
+      Run& r = live_[i];
+      bool more = true;
+      while (r.times[r.hop] <= hi) {
+        const std::uint32_t b = bucket(r.times[r.hop]);
+        if (b >= take) break;
+        out[count[b]++] = {r.plan, r.hop};
+        if (!(more = advance(r))) break;
+      }
+      if (!more) {
+        r = live_.back();
+        live_.pop_back();
+        continue;
+      }
+      next_lo = std::min(next_lo, r.times[r.hop]);
+      ++i;
+    }
+
+    // Order the buckets by the full key: sort the rare crowded ones
+    // (steps sharing an instant), then one insertion pass over the
+    // window, in which a step only ever moves within its bucket.
+    const auto before = [this](WaveEvent a, WaveEvent b) {
+      return step_before(time_of(a), a, b);
+    };
+    if (crowded) {
+      auto begin = static_cast<std::uint32_t>(filled_);
+      for (std::uint32_t b = 0; b < take; begin = count[b++]) {
+        if (count[b] - begin > kInsertionMax) {
+          std::sort(out + begin, out + count[b], before);
+        }
+      }
+    }
+    WaveEvent* const first = out + filled_;
+    double prev = time_of(*first);
+    for (WaveEvent* i = first + 1; i != out + pos; ++i) {
+      const double t = time_of(*i);
+      if (t > prev) {
+        prev = t;
+        continue;
+      }
+      // The step at i ends as the largest so far either way: prev holds.
+      const WaveEvent e = *i;
+      WaveEvent* j = i;
+      for (; j != first && step_before(t, e, j[-1]); --j) *j = j[-1];
+      *j = e;
+    }
+
+    // The next window's spacing estimate: this window's, growing at
+    // most 8-fold. An instant says nothing about spacing.
+    const std::size_t taken = pos - filled_;
+    filled_ = pos;
+    lo_ = next_lo;
+    if (!instant) {
+      const double used = take == nb ? width : width / nb * take;
+      spacing_ = std::clamp(used / static_cast<double>(taken), kMinWidth,
+                            spacing_ * 8);
+    }
+    return;
   }
-  tree_[0] = winner;
 }
 
 std::span<const WaveEvent> WaveOrder::next_chunk() {
-  const std::size_t n = std::min(kWaveChunk, remaining_);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t w = tree_[0];
-    Leaf& l = leaves_[w];
-    chunk_[i] = {order_[l.pos], l.hop};
-    if (l.hop < l.last) {
-      l.time = l.times[++l.hop];
-    } else if (++l.pos < l.end) {
-      load(l);
-    } else {
-      l.time = kInf;
-      l.rank = kInf;
-      l.token = kExhausted;
-    }
-    replay(w);
+  // The previous window's overshoot opens this chunk.
+  if (handed_ > 0) {
+    std::copy(chunk_.begin() + static_cast<std::ptrdiff_t>(handed_),
+              chunk_.begin() + static_cast<std::ptrdiff_t>(filled_),
+              chunk_.begin());
+    filled_ -= handed_;
   }
+  const std::size_t n = std::min(kWaveChunk, remaining_);
+  while (filled_ < n) fill_window(n - filled_);
+  handed_ = n;
   remaining_ -= n;
   return {chunk_.data(), n};
 }

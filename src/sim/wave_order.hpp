@@ -3,12 +3,18 @@
 //
 // The scalar interpreters pop steps in the total order (time, rank,
 // token, hop). The paper's timed-execution model (Section 2.2, rule 3)
-// runs a process's tokens one after another, so that order is a merge of
-// one already-sorted run per process: the process's tokens in hop-0 key
-// order, each followed by its own hops. WaveOrder groups the plans into
-// those runs and merges them with a loser tree over the runs' cached
-// head keys, straight from the plans, one chunk at a time — O(E log P)
-// for E steps of P processes, with O(plans) scratch and no event list.
+// runs a process's tokens one after another, so every process's steps
+// form one already-sorted run: the process's tokens in hop-0 key order,
+// each followed by its own hops. WaveOrder groups the plans into those
+// runs and cuts the order into time windows, the calendar-queue idea:
+// a window takes, from every run, the steps up to its end time (a
+// prefix of the run, found by a walk with no compares across runs),
+// counting-sorts them by bucket floor((t - t_lo) * scale) — monotone in
+// time — and orders each bucket by the full key. That is O(E)
+// independent passes for E steps, with O(window) scratch beyond the
+// runs: each window is sorted straight into the chunk buffer, and only
+// a group of steps sharing one instant can make a window exceed its
+// target.
 //
 // A run is sorted exactly when its process has no step-order overlap.
 // Tokens are ordered by hop-0 key and each token's own steps are sorted
@@ -43,9 +49,10 @@ inline constexpr std::size_t kWaveChunk = 4096;
 
 class WaveOrder {
  public:
-  /// Groups `exec`'s plans into per-process runs and readies the merge.
-  /// `exec` must have passed validate() and carry no token with the
-  /// reserved id max(TokenId); it and `stop` must outlive the merge.
+  /// Groups `exec`'s plans into per-process runs and readies the order.
+  /// `exec` must have passed validate() (so times are finite and ranks
+  /// are numbers) and carry no token with the reserved id max(TokenId);
+  /// it and `stop` must outlive the order.
   ///
   /// `stop` is empty or indexed by token id (the fault overlay's
   /// `lost_before_hop`; ids past its end count as unbounded): a token
@@ -68,33 +75,37 @@ class WaveOrder {
   std::span<const WaveEvent> next_chunk();
 
  private:
-  /// A run's cursor: the cached key of its head step plus the position
-  /// of that step in the run.
-  struct Leaf {
-    double time;
-    double rank;
-    TokenId token;
-    std::uint32_t hop;   ///< Head step's hop.
-    std::uint32_t last;  ///< Last hop of the head step's token.
-    std::uint32_t pos;   ///< Head token's index in order_.
-    std::uint32_t end;   ///< One past the run's last index in order_.
+  /// A run's cursor: its head step, as a token position plus a hop.
+  struct Run {
     const double* times;  ///< Head token's crossing times.
+    std::uint32_t plan;   ///< Head token's plan index, order_[pos].
+    std::uint32_t pos;    ///< Head token's index in order_.
+    std::uint32_t end;    ///< One past the run's last index in order_.
+    std::uint32_t hop;    ///< Head step's hop.
+    std::uint32_t last;   ///< Last hop of the head token.
   };
-  static bool before(const Leaf& a, const Leaf& b) noexcept;
   std::uint32_t last_hop(const TokenPlan& p) const noexcept;
-  void load(Leaf& l) const noexcept;
-  void replay(std::uint32_t leaf) noexcept;
+  bool advance(Run& r) const noexcept;
+  double time_of(WaveEvent e) const noexcept;
+  bool step_before(double ta, WaveEvent a, WaveEvent b) const noexcept;
+  void fill_window(std::size_t room);
 
   const TokenPlan* plans_ = nullptr;
   std::uint32_t depth_ = 0;
   std::span<const std::uint32_t> stop_;
   /// Plan indices grouped by process, each group in hop-0 key order.
   std::vector<std::uint32_t> order_;
-  std::vector<Leaf> leaves_;       ///< Power-of-two count; extras empty.
-  std::vector<std::uint32_t> tree_;  ///< [0] winner, [1, M) match losers.
-  std::vector<double> loser_time_;   ///< Head time of each tree_[n] loser.
-  std::vector<std::uint32_t> win_;   ///< Match winners while building.
+  std::vector<Run> live_;  ///< Runs with steps left, in any order.
+  /// A window's per-bucket step counts, then its scatter cursors.
+  std::vector<std::uint32_t> bucket_;
+  /// Sorted steps: the chunk being filled, then up to one window's
+  /// overshoot carried into the next chunk.
   std::vector<WaveEvent> chunk_;
+  std::size_t filled_ = 0;  ///< Sorted steps held in chunk_.
+  std::size_t handed_ = 0;  ///< Of those, returned by the last call.
+  double lo_ = 0.0;       ///< Earliest head time over live_.
+  double last_ = 0.0;     ///< Latest step time of the execution.
+  double spacing_ = 0.0;  ///< Expected time between consecutive steps.
   std::size_t runs_ = 0;
   std::size_t remaining_ = 0;
 };

@@ -7,6 +7,8 @@ TimedExecution generate_workload(const Network& net, const WorkloadSpec& spec,
   TimedExecution exec;
   exec.net = &net;
   const std::uint32_t d = net.depth();
+  exec.plans.reserve(static_cast<std::size_t>(spec.processes) *
+                     spec.tokens_per_process);
   TokenId next_token = 0;
   auto draw_delay = [&]() {
     if (spec.extreme_delays) {

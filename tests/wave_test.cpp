@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -876,6 +877,217 @@ TEST(FaultedWave, MatchesScalarAcrossChunkBoundaries) {
 }
 
 // ---------------------------------------------------------------------
+// The bucketed windows on schedules that stress them: one instant, a
+// straggler, dense clusters, extreme and denormal spans, negative times,
+// and far more runs than a window holds. On each shape the order equals a full sort,
+// pristine and under a fault overlay, and the wave interpreters equal
+// their scalar twins. Every shape crosses at least one chunk boundary.
+// ---------------------------------------------------------------------
+
+/// Replaces each crossing time t of the plans `pick` accepts with f(t);
+/// f must be non-decreasing, so the plans stay valid.
+template <typename Pick, typename F>
+void remap_times(TimedExecution& exec, Pick pick, F f) {
+  for (TokenPlan& p : exec.plans) {
+    if (!pick(p)) continue;
+    for (double& t : p.times) t = f(t);
+  }
+}
+
+double latest_time(const TimedExecution& exec) {
+  double hi = exec.plans.front().t_out();
+  for (const TokenPlan& p : exec.plans) hi = std::max(hi, p.t_out());
+  return hi;
+}
+
+void expect_order_and_wave_hold(const TimedExecution& exec,
+                                const std::string& what,
+                                std::uint64_t seed) {
+  ASSERT_EQ(validate(exec), "") << what;
+  ASSERT_TRUE(simulate(exec).ok()) << what;
+  ASSERT_GT(num_steps(exec), kWaveChunk) << what;
+  WaveOrder order;
+  ASSERT_TRUE(order.build(exec)) << what;
+  EXPECT_EQ(drain(order), sorted_steps(exec, {})) << what;
+  expect_wave_equals_scalar(exec, what);
+
+  fault::FaultPlan plan;
+  plan.enabled = true;
+  plan.p_token_loss = 0.1;
+  plan.p_stuck_balancer = 0.1;
+  plan.p_process_crash = 0.3;
+  const fault::SimFaults faults =
+      fault::draw_sim_faults(*exec.net, exec, plan, seed);
+  ASSERT_GT(faults.tokens_lost, 0u) << what;
+  ASSERT_TRUE(order.build(exec, faults.lost_before_hop)) << what;
+  EXPECT_EQ(drain(order), sorted_steps(exec, faults.lost_before_hop))
+      << what << " faulted";
+  expect_faulted_wave_equals_scalar(exec, faults, what + " faulted");
+}
+
+TEST(WaveOrder, EveryStepAtOneInstant) {
+  // 16 processes x 64 tokens, every crossing at t = 3: ranks alone order
+  // the steps (increasing per process, so no overlap; integer ranks tie
+  // across half the processes and leave it to token ids). One bucket
+  // holds all 7168 steps, past a chunk, so the window outgrows its
+  // target and carries the rest into the next chunk.
+  const Network net = make_bitonic(8);
+  Xoshiro256 rng(21);
+  TimedExecution exec;
+  exec.net = &net;
+  for (TokenId t = 0; t < 16 * 64; ++t) {
+    const ProcessId p = t / 64;
+    const double rank = static_cast<double>(t % 64) +
+                        (p % 2 == 0 ? 0.0 : rng.unit() * 0.9);
+    exec.plans.push_back(make_uniform_plan(
+        t, p, p % 8, net.depth(), /*t_in=*/3.0, /*delay=*/0.0, rank));
+  }
+  expect_order_and_wave_hold(exec, "one instant", 21);
+}
+
+TEST(WaveOrder, StragglerStretchesTheSpan) {
+  // Process 0 runs 1000x slower than the rest, so most windows after the
+  // others finish are nearly empty.
+  const Network net = make_bitonic(8);
+  TimedExecution exec = make_sweep_exec(net, 16, 128, 22);
+  remap_times(
+      exec, [](const TokenPlan& p) { return p.process == 0; },
+      [](double t) { return t * 1000.0; });
+  expect_order_and_wave_hold(exec, "straggler", 22);
+}
+
+TEST(WaveOrder, SpanNearDblMaxAndDenormalWidths) {
+  const Network net = make_bitonic(8);
+  const auto all = [](const TokenPlan&) { return true; };
+  // Times spread over [-0.9, 0.9] * DBL_MAX: t - t_lo overflows.
+  TimedExecution huge = make_sweep_exec(net, 16, 128, 23);
+  const double hi = latest_time(huge);
+  remap_times(huge, all, [hi](double t) {
+    return (t / hi * 2.0 - 1.0) * (0.9 * std::numeric_limits<double>::max());
+  });
+  expect_order_and_wave_hold(huge, "near DBL_MAX", 23);
+
+  // Every time denormal (below 2^-1040): a window's width is too, and
+  // bucket count / width overflows without the power-of-two prescale.
+  TimedExecution tiny = make_sweep_exec(net, 16, 128, 24);
+  remap_times(tiny, all, [](double t) { return t * 0x1p-1060; });
+  ASSERT_LT(latest_time(tiny), std::numeric_limits<double>::min());
+  expect_order_and_wave_hold(tiny, "denormal", 24);
+}
+
+TEST(WaveOrder, NegativeTimes) {
+  const Network net = make_bitonic(8);
+  const auto all = [](const TokenPlan&) { return true; };
+  TimedExecution below = make_sweep_exec(net, 16, 128, 25);
+  remap_times(below, all, [](double t) { return t - 1e6; });
+  expect_order_and_wave_hold(below, "all negative", 25);
+  TimedExecution across = make_sweep_exec(net, 16, 128, 26);
+  const double mid = latest_time(across) / 2;
+  remap_times(across, all, [mid](double t) { return t - mid; });
+  expect_order_and_wave_hold(across, "across zero", 26);
+}
+
+TEST(WaveOrder, DenseClusterInsideSparseSchedule) {
+  // Processes 1..15 squeezed into 2e-6 time units at t = 1000, all
+  // times distinct, inside process 0's sparse schedule: windows sized
+  // for the sparse part must narrow until the cluster fits a chunk.
+  const Network net = make_bitonic(8);
+  TimedExecution exec = make_sweep_exec(net, 16, 128, 29);
+  remap_times(
+      exec, [](const TokenPlan& p) { return p.process != 0; },
+      [](double t) { return 1000.0 + t * 1e-9; });
+  expect_order_and_wave_hold(exec, "dense cluster", 29);
+
+  // Every 50 time units squeezed into its first 5e-8: clusters of a few
+  // hundred distinct times, each inside one bucket, straddling chunk
+  // ends, so windows are cut short or narrowed to split them.
+  TimedExecution clustered = make_sweep_exec(net, 16, 128, 30);
+  remap_times(
+      clustered, [](const TokenPlan&) { return true; },
+      [](double t) {
+        const double cell = 50.0 * std::floor(t / 50.0);
+        return cell + (t - cell) * 1e-9;
+      });
+  expect_order_and_wave_hold(clustered, "clusters", 30);
+}
+
+TEST(WaveOrder, RunsFarOutnumberWindowSteps) {
+  // The sim_burst shape: 4096 single-token processes entering within a
+  // quarter of c_min, wire delays c_min or c_max.
+  const Network net = make_bitonic(8);
+  Xoshiro256 rng(27);
+  TimedExecution exec;
+  exec.net = &net;
+  for (TokenId t = 0; t < 4096; ++t) {
+    TokenPlan p;
+    p.token = t;
+    p.process = t;
+    p.source = t % 8;
+    p.rank = rng.unit();
+    p.times.resize(net.depth() + 1);
+    p.times[0] = rng.uniform(0.0, 0.25);
+    for (std::uint32_t h = 1; h <= net.depth(); ++h) {
+      p.times[h] = p.times[h - 1] + (rng.below(2) ? 1.0 : 4.0);
+    }
+    exec.plans.push_back(std::move(p));
+  }
+  WaveOrder order;
+  ASSERT_TRUE(order.build(exec));
+  EXPECT_EQ(order.runs(), 4096u);
+  expect_order_and_wave_hold(exec, "4096 single-token processes", 27);
+}
+
+/// validate()'s error `want` for `exec`, from every interpreter entry
+/// point, pristine and faulted, collecting and streaming.
+void expect_rejected_everywhere(const TimedExecution& exec,
+                                const std::string& want,
+                                const std::string& what) {
+  EXPECT_EQ(validate(exec), want) << what;
+  SimArena arena;
+  fault::SimFaults faults;
+  faults.stuck.assign(exec.net->num_balancers(), false);
+  faults.lost_before_hop.assign(exec.plans.size(), fault::kCompletes);
+  faults.lost_before_hop[3] = 2;
+  faults.tokens_lost = 1;
+  EXPECT_EQ(simulate(exec).error, want) << what;
+  EXPECT_EQ(simulate_wave(exec, arena).error, want) << what;
+  EXPECT_EQ(fault::simulate_faulted(exec, faults).error, want) << what;
+  EXPECT_EQ(fault::simulate_faulted_wave(exec, faults, arena).error, want)
+      << what;
+  CollectSink sink;
+  EXPECT_EQ(simulate_stream(exec, arena, sink).error, want) << what;
+  EXPECT_EQ(simulate_wave_stream(exec, arena, sink).error, want) << what;
+  EXPECT_EQ(fault::simulate_faulted_stream(exec, faults, sink).error, want)
+      << what;
+  EXPECT_EQ(
+      fault::simulate_faulted_wave_stream(exec, faults, arena, sink).error,
+      want)
+      << what;
+  EXPECT_TRUE(sink.trace().empty()) << what;
+}
+
+// A non-finite crossing time or a NaN rank is a validation error on
+// every interpreter: the first could stall the windows, the second
+// leaves (time, rank, token) no total order, so scalar and wave part.
+TEST(SimulateWave, NonFiniteTimesAndNanRanksAreRejectedEverywhere) {
+  const Network net = make_bitonic(8);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    for (const std::uint32_t hop : {0u, 3u, net.depth()}) {
+      TimedExecution exec = make_sweep_exec(net, 16, 64, 28);
+      exec.plans[700].times[hop] = bad;
+      expect_rejected_everywhere(
+          exec, "token 700: non-finite time",
+          std::to_string(bad) + " at hop " + std::to_string(hop));
+    }
+  }
+  TimedExecution exec = make_sweep_exec(net, 16, 64, 28);
+  exec.plans[700].rank = nan;
+  expect_rejected_everywhere(exec, "token 700: rank is NaN", "NaN rank");
+}
+
+// ---------------------------------------------------------------------
 // Engine: RunSpec::wave_exec flips the interpreter, nothing else.
 // ---------------------------------------------------------------------
 
@@ -922,6 +1134,23 @@ TEST(EngineWaveExec, SweepJsonIdenticalFaulted) {
   sweep.base.fault.p_stuck_balancer = 0.1;
   sweep.base.fault.p_process_crash = 0.1;
   sweep.trials = 48;
+  expect_same_sweep_json(sweep);
+}
+
+TEST(EngineWaveExec, WaveAndOptimizerBackendsRerunIdentical) {
+  // Without faults, wave_exec re-runs the built adversarial schedule
+  // through the wave interpreter and re-analyzes it: same sweep JSON.
+  engine::SweepSpec sweep;
+  sweep.base.backend = "wave";
+  sweep.base.network = "bitonic";
+  sweep.base.width = 16;
+  sweep.base.ell = 2;
+  sweep.trials = 4;
+  expect_same_sweep_json(sweep);
+  sweep.base.backend = "optimizer";
+  sweep.base.width = 8;
+  sweep.base.opt_iterations = 40;
+  sweep.trials = 2;
   expect_same_sweep_json(sweep);
 }
 
