@@ -58,7 +58,7 @@ struct Resolved {
 };
 
 /// Records the fault overlay's damage tally as metrics.
-void record_sim_fault_metrics(RunResult& out, const fault::SimFaults& f) {
+void record_sim_fault_metrics(RunResult& out, const SimFaults& f) {
   out.metrics["fault_tokens_lost"] = static_cast<double>(f.tokens_lost);
   out.metrics["fault_tokens_not_issued"] =
       static_cast<double>(f.tokens_not_issued);
@@ -68,63 +68,46 @@ void record_sim_fault_metrics(RunResult& out, const fault::SimFaults& f) {
       static_cast<double>(f.processes_crashed);
 }
 
-/// Runs a TimedExecution through the simulator and fills the result,
-/// reusing the worker's arena (compiled tables + trial buffers). When the
-/// spec requests simulated-network faults, the execution is interpreted
-/// by the fault overlay's graph walker instead — the compiled fast path
-/// stays pristine.
-void finish_simulated(RunResult& out, const RunSpec& spec, TimedExecution exec,
-                      SimArena& arena) {
-  if (spec.fault.sim_faults()) {
-    const fault::SimFaults faults =
-        fault::draw_sim_faults(*exec.net, exec, spec.fault, spec.seed);
-    fault::FaultedSimResult sim =
-        spec.wave_exec ? fault::simulate_faulted_wave(exec, faults, arena)
-                       : fault::simulate_faulted(exec, faults);
-    if (!sim.ok()) {
-      out.error = "faulted simulation failed: " + sim.error;
-      return;
-    }
-    out.trace = std::move(sim.trace);
-    out.exec = std::move(exec);
-    record_sim_fault_metrics(out, faults);
-    return;
-  }
-  SimulationResult sim =
-      spec.wave_exec ? simulate_wave(exec, arena) : simulate(exec, arena);
-  if (!sim.ok()) {
-    out.error = "simulation failed: " + sim.error;
-    return;
-  }
-  out.trace = std::move(sim.trace);
-  out.exec = std::move(exec);
+/// Interprets `exec` with the interpreter spec.wave_exec selects, under
+/// the spec's sim fault overlay when it asks for one (its damage tally
+/// goes to out's metrics), or none; `sink` null collects. A failure is
+/// left in the returned result.
+SimulationResult interpret(RunResult& out, const RunSpec& spec,
+                           const TimedExecution& exec, SimArena& arena,
+                           TraceSink* sink) {
+  const auto run = [&](const auto& overlay) {
+    return spec.wave_exec ? simulate_wave_with(exec, arena, overlay, sink)
+                          : simulate_with(exec, arena, overlay, sink);
+  };
+  if (!spec.fault.sim_faults()) return run(NoFaults{});
+  const SimFaults faults =
+      fault::draw_sim_faults(*exec.net, exec, spec.fault, spec.seed);
+  SimulationResult sim = run(faults);
+  if (sim.ok()) record_sim_fault_metrics(out, faults);
+  return sim;
 }
 
-/// Streaming twin of finish_simulated: every completed token goes to
-/// `sink` in issue order (the simulators reorder their counter-crossing
-/// emissions internally) and neither the trace nor the execution is kept
-/// on the result.
-void finish_simulated_stream(RunResult& out, const RunSpec& spec,
-                             TimedExecution exec, SimArena& arena,
-                             TraceSink& sink) {
-  if (spec.fault.sim_faults()) {
-    const fault::SimFaults faults =
-        fault::draw_sim_faults(*exec.net, exec, spec.fault, spec.seed);
-    const fault::FaultedSimResult sim =
-        spec.wave_exec
-            ? fault::simulate_faulted_wave_stream(exec, faults, arena, sink)
-            : fault::simulate_faulted_stream(exec, faults, sink);
-    if (!sim.ok()) {
-      out.error = "faulted simulation failed: " + sim.error;
-      return;
-    }
-    record_sim_fault_metrics(out, faults);
+std::string simulation_error(const RunSpec& spec, const std::string& error) {
+  return (spec.fault.sim_faults() ? "faulted simulation failed: "
+                                  : "simulation failed: ") +
+         error;
+}
+
+/// Runs a TimedExecution through the simulator and fills the result,
+/// reusing the worker's arena (compiled tables + trial buffers). With a
+/// sink, every completed token goes to it in issue order (the
+/// interpreters reorder their counter-crossing emissions internally) and
+/// neither the trace nor the execution is kept on the result.
+void finish_simulated(RunResult& out, const RunSpec& spec, TimedExecution exec,
+                      SimArena& arena, TraceSink* sink) {
+  SimulationResult sim = interpret(out, spec, exec, arena, sink);
+  if (!sim.ok()) {
+    out.error = simulation_error(spec, sim.error);
     return;
   }
-  const SimulationResult sim = spec.wave_exec
-                                   ? simulate_wave_stream(exec, arena, sink)
-                                   : simulate_stream(exec, arena, sink);
-  if (!sim.ok()) out.error = "simulation failed: " + sim.error;
+  if (sink != nullptr) return;
+  out.trace = std::move(sim.trace);
+  out.exec = std::move(exec);
 }
 
 /// Re-interprets an already-built execution (wave / optimizer: the
@@ -134,172 +117,128 @@ void finish_simulated_stream(RunResult& out, const RunSpec& spec,
 /// and resets the report so run_backend re-analyzes the new trace.
 bool reinterpret(RunResult& out, const RunSpec& spec) {
   if (!out.ok()) return false;
-  if (!spec.fault.sim_faults()) {
-    if (!spec.wave_exec) return true;
-    // The wave interpreter fails exactly where the scalar one did, and
-    // the backend has already dealt with that.
-    SimArena arena;
-    SimulationResult sim = simulate_wave(out.exec, arena);
-    if (sim.ok()) {
-      out.trace = std::move(sim.trace);
-      out.report = ConsistencyReport{};
-    }
-    return true;
-  }
-  if (out.exec.net == nullptr || out.exec.plans.empty()) {
+  const bool faulted = spec.fault.sim_faults();
+  if (!faulted && !spec.wave_exec) return true;
+  if (faulted && (out.exec.net == nullptr || out.exec.plans.empty())) {
     out.error = "faulted simulation failed: backend produced no execution";
     return false;
   }
-  const fault::SimFaults faults =
-      fault::draw_sim_faults(*out.exec.net, out.exec, spec.fault, spec.seed);
-  fault::FaultedSimResult sim;
-  if (spec.wave_exec) {
-    // These backends (wave / optimizer) build their schedule without a
-    // RunContext, so there is no shared arena to reuse; a local one
-    // compiles the tables once for this re-interpretation.
-    SimArena arena;
-    sim = fault::simulate_faulted_wave(out.exec, faults, arena);
-  } else {
-    sim = fault::simulate_faulted(out.exec, faults);
-  }
+  // These backends build their schedule without a RunContext, so there
+  // is no shared arena to reuse; a local one compiles the tables once
+  // for this re-interpretation.
+  SimArena arena;
+  SimulationResult sim = interpret(out, spec, out.exec, arena, nullptr);
   if (!sim.ok()) {
-    out.error = "faulted simulation failed: " + sim.error;
+    // Without faults the wave interpreter fails exactly where the
+    // backend's own scalar run did, and the backend has already dealt
+    // with that.
+    if (!faulted) return true;
+    out.error = simulation_error(spec, sim.error);
     return false;
   }
   out.trace = std::move(sim.trace);
   out.report = ConsistencyReport{};
-  record_sim_fault_metrics(out, faults);
   return true;
 }
 
 // ---------------------------------------------------------------------
-// simulator: the randomized closed-loop workload generator.
+// The simulated workloads: simulator, sim_burst and sim_heterogeneous are
+// presets of the workload generator behind one backend shell. A preset
+// draws the TimedExecution from the spec; finish_simulated does the rest.
 // ---------------------------------------------------------------------
-class SimulatorBackend final : public TraceSource {
- public:
-  std::string name() const override { return "simulator"; }
-  std::string description() const override {
-    return "random closed-loop workload through the timed simulator";
-  }
 
-  RunResult run(const RunSpec& spec) const override {
-    RunContext ctx;
-    return run(spec, ctx);
-  }
+/// simulator: the randomized closed-loop workload generator.
+TimedExecution closed_loop_exec(const RunSpec& spec, const Network& net) {
+  WorkloadSpec wl;
+  wl.processes = spec.processes;
+  wl.tokens_per_process = spec.ops_per_process;
+  wl.c_min = spec.c_min;
+  wl.c_max = spec.c_max;
+  wl.local_delay_min = spec.local_delay_min;
+  wl.local_delay_max = spec.local_delay_max >= 0.0
+                           ? spec.local_delay_max
+                           : spec.local_delay_min + 2.0;
+  wl.extreme_delays = spec.extreme_delays;
+  Xoshiro256 rng(spec.seed);
+  return generate_workload(net, wl, rng);
+}
 
-  RunResult run(const RunSpec& spec, RunContext& ctx) const override {
-    Resolved r(spec);
-    if (!r.ok()) return std::move(r.result);
-    finish_simulated(r.result, spec, make_exec(spec, *r.net), ctx.arena);
-    return std::move(r.result);
-  }
-
-  RunResult run(const RunSpec& spec, RunContext& ctx,
-                TraceSink& sink) const override {
-    Resolved r(spec);
-    if (!r.ok()) return std::move(r.result);
-    finish_simulated_stream(r.result, spec, make_exec(spec, *r.net),
-                            ctx.arena, sink);
-    return std::move(r.result);
-  }
-
- private:
-  static TimedExecution make_exec(const RunSpec& spec, const Network& net) {
-    WorkloadSpec wl;
-    wl.processes = spec.processes;
-    wl.tokens_per_process = spec.ops_per_process;
-    wl.c_min = spec.c_min;
-    wl.c_max = spec.c_max;
-    wl.local_delay_min = spec.local_delay_min;
-    wl.local_delay_max = spec.local_delay_max >= 0.0
-                             ? spec.local_delay_max
-                             : spec.local_delay_min + 2.0;
-    wl.extreme_delays = spec.extreme_delays;
-    Xoshiro256 rng(spec.seed);
-    return generate_workload(net, wl, rng);
-  }
-};
-
-// ---------------------------------------------------------------------
-// sim_burst: bursts separated by a global-delay floor (pure C_g probe).
-// ---------------------------------------------------------------------
-class BurstBackend final : public TraceSource {
- public:
-  std::string name() const override { return "sim_burst"; }
-  std::string description() const override {
-    return "burst workload honoring a global-delay (C_g) floor";
-  }
-
-  RunResult run(const RunSpec& spec) const override {
-    RunContext ctx;
-    return run(spec, ctx);
-  }
-
-  RunResult run(const RunSpec& spec, RunContext& ctx) const override {
-    Resolved r(spec);
-    if (!r.ok()) return std::move(r.result);
-    finish_simulated(r.result, spec, make_exec(spec, *r.net), ctx.arena);
-    return std::move(r.result);
-  }
-
-  RunResult run(const RunSpec& spec, RunContext& ctx,
-                TraceSink& sink) const override {
-    Resolved r(spec);
-    if (!r.ok()) return std::move(r.result);
-    finish_simulated_stream(r.result, spec, make_exec(spec, *r.net),
-                            ctx.arena, sink);
-    return std::move(r.result);
-  }
-
- private:
-  static TimedExecution make_exec(const RunSpec& spec, const Network& net) {
-    Xoshiro256 rng(spec.seed);
-    TimedExecution exec;
-    exec.net = &net;
-    const std::uint32_t d = net.depth();
-    TokenId next = 0;
-    double t0 = 0.0;
-    for (std::uint32_t b = 0; b < spec.bursts; ++b) {
-      double latest_exit = t0;
-      for (std::uint32_t i = 0; i < spec.burst_size; ++i) {
-        TokenPlan p;
-        p.token = next;
-        p.process = next;  // all distinct processes: pure C_g probe
-        p.source = i % net.fan_in();
-        p.rank = rng.unit();
-        p.times.resize(d + 1);
-        p.times[0] = t0 + rng.uniform(0.0, 0.25 * spec.c_min);
-        for (std::uint32_t h = 1; h <= d; ++h) {
-          p.times[h] =
-              p.times[h - 1] + (rng.below(2) ? spec.c_min : spec.c_max);
-        }
-        latest_exit = std::max(latest_exit, p.times[d]);
-        exec.plans.push_back(std::move(p));
-        ++next;
+/// sim_burst: bursts separated by a global-delay floor (pure C_g probe).
+TimedExecution burst_exec(const RunSpec& spec, const Network& net) {
+  Xoshiro256 rng(spec.seed);
+  TimedExecution exec;
+  exec.net = &net;
+  const std::uint32_t d = net.depth();
+  TokenId next = 0;
+  double t0 = 0.0;
+  for (std::uint32_t b = 0; b < spec.bursts; ++b) {
+    double latest_exit = t0;
+    for (std::uint32_t i = 0; i < spec.burst_size; ++i) {
+      TokenPlan p;
+      p.token = next;
+      p.process = next;  // all distinct processes: pure C_g probe
+      p.source = i % net.fan_in();
+      p.rank = rng.unit();
+      p.times.resize(d + 1);
+      p.times[0] = t0 + rng.uniform(0.0, 0.25 * spec.c_min);
+      for (std::uint32_t h = 1; h <= d; ++h) {
+        p.times[h] =
+            p.times[h - 1] + (rng.below(2) ? spec.c_min : spec.c_max);
       }
-      t0 = latest_exit + spec.burst_gap;
+      latest_exit = std::max(latest_exit, p.times[d]);
+      exec.plans.push_back(std::move(p));
+      ++next;
     }
-    return exec;
+    t0 = latest_exit + spec.burst_gap;
   }
-};
+  return exec;
+}
 
-// ---------------------------------------------------------------------
-// sim_heterogeneous: hare (process 0) vs tortoise local delays.
-// ---------------------------------------------------------------------
+/// sim_heterogeneous: hare (process 0) vs tortoise local delays.
+TimedExecution heterogeneous_exec(const RunSpec& spec, const Network& net) {
+  Xoshiro256 rng(spec.seed);
+  TimedExecution exec;
+  exec.net = &net;
+  const std::uint32_t d = net.depth();
+  TokenId next = 0;
+  for (ProcessId p = 0; p < net.fan_in(); ++p) {
+    const double local = p == 0 ? spec.hare_delay : spec.tortoise_delay;
+    double t = 0.0;
+    std::uint32_t k = 0;
+    while (t < spec.horizon) {
+      TokenPlan plan;
+      plan.token = next++;
+      plan.process = p;
+      plan.source = p;
+      plan.rank = k + rng.unit() * 0.9;
+      plan.times.resize(d + 1);
+      plan.times[0] = t;
+      for (std::uint32_t h = 1; h <= d; ++h) {
+        plan.times[h] =
+            plan.times[h - 1] + (rng.below(2) ? spec.c_min : spec.c_max);
+      }
+      t = plan.times[d] + local;
+      exec.plans.push_back(std::move(plan));
+      ++k;
+    }
+  }
+  return exec;
+}
 
-/// Streaming computation of the heterogeneous backend's extra metrics
-/// (hare/other op counts, per-process SC flags). Exact replacement for
-/// the batch is_sequentially_consistent_for calls: the simulator emits
-/// each process's records in issue order (a closed-loop process's tokens
-/// complete in the order they were issued), so a per-process prefix max
-/// over the arrival stream sees exactly what the batch check sees.
+/// sim_heterogeneous's extra metrics (hare/other op counts, per-process
+/// SC flags), computed from the record stream: a per-process prefix max
+/// over each process's records in issue order, exactly what the batch
+/// per-process SC check sees. Both the streaming run and the collected
+/// trace present each process's records in issue order (a closed-loop
+/// process's tokens complete, and are planned, in the order they were
+/// issued). Forwards every record to `inner` when it is set.
 class HetMetricsSink final : public TraceSink {
  public:
-  HetMetricsSink(TraceSink& inner, std::uint32_t processes)
+  HetMetricsSink(TraceSink* inner, std::uint32_t processes)
       : inner_(inner), procs_(processes) {}
 
   void on_record(const TokenRecord& rec) override {
-    inner_.on_record(rec);
+    if (inner_ != nullptr) inner_->on_record(rec);
     (rec.process == 0 ? hare_ops_ : other_ops_) += 1;
     if (rec.process >= procs_.size()) procs_.resize(rec.process + 1);
     Proc& p = procs_[rec.process];
@@ -308,16 +247,15 @@ class HetMetricsSink final : public TraceSink {
     p.any = true;
   }
 
-  std::uint64_t hare_ops() const noexcept { return hare_ops_; }
-  std::uint64_t other_ops() const noexcept { return other_ops_; }
-  bool hare_sc() const noexcept {
-    return procs_.empty() || !procs_[0].non_sc;
-  }
-  bool others_sc() const noexcept {
+  void report(RunResult& out) const {
+    bool others_sc = true;
     for (std::size_t p = 1; p < procs_.size(); ++p) {
-      if (procs_[p].non_sc) return false;
+      others_sc = others_sc && !procs_[p].non_sc;
     }
-    return true;
+    out.metrics["hare_ops"] = static_cast<double>(hare_ops_);
+    out.metrics["other_ops"] = static_cast<double>(other_ops_);
+    out.metrics["hare_sc"] = procs_.empty() || !procs_[0].non_sc ? 1.0 : 0.0;
+    out.metrics["others_sc"] = others_sc ? 1.0 : 0.0;
   }
 
  private:
@@ -326,18 +264,25 @@ class HetMetricsSink final : public TraceSink {
     bool non_sc = false;
     Value prefix_max = 0;
   };
-  TraceSink& inner_;
+  TraceSink* inner_;
   std::uint64_t hare_ops_ = 0;
   std::uint64_t other_ops_ = 0;
   std::vector<Proc> procs_;
 };
 
-class HeterogeneousBackend final : public TraceSource {
+class SimulatedBackend final : public TraceSource {
  public:
-  std::string name() const override { return "sim_heterogeneous"; }
-  std::string description() const override {
-    return "per-process local delays: hare process 0 vs paced tortoises";
-  }
+  using Generator = TimedExecution (*)(const RunSpec&, const Network&);
+
+  SimulatedBackend(std::string name, std::string description,
+                   Generator generate, bool het_metrics = false)
+      : name_(std::move(name)),
+        description_(std::move(description)),
+        generate_(generate),
+        het_metrics_(het_metrics) {}
+
+  std::string name() const override { return name_; }
+  std::string description() const override { return description_; }
 
   RunResult run(const RunSpec& spec) const override {
     RunContext ctx;
@@ -345,73 +290,37 @@ class HeterogeneousBackend final : public TraceSource {
   }
 
   RunResult run(const RunSpec& spec, RunContext& ctx) const override {
-    Resolved r(spec);
-    if (!r.ok()) return std::move(r.result);
-    const Network& net = *r.net;
-    finish_simulated(r.result, spec, make_exec(spec, net), ctx.arena);
-    if (!r.result.ok()) return std::move(r.result);
-    std::uint64_t hare_ops = 0, other_ops = 0;
-    for (const TokenRecord& rec : r.result.trace) {
-      (rec.process == 0 ? hare_ops : other_ops) += 1;
-    }
-    bool others_sc = true;
-    for (ProcessId p = 1; p < net.fan_in(); ++p) {
-      others_sc &= is_sequentially_consistent_for(r.result.trace, p);
-    }
-    r.result.metrics["hare_ops"] = static_cast<double>(hare_ops);
-    r.result.metrics["other_ops"] = static_cast<double>(other_ops);
-    r.result.metrics["hare_sc"] =
-        is_sequentially_consistent_for(r.result.trace, 0) ? 1.0 : 0.0;
-    r.result.metrics["others_sc"] = others_sc ? 1.0 : 0.0;
-    return std::move(r.result);
+    return run_into(spec, ctx, nullptr);
   }
 
   RunResult run(const RunSpec& spec, RunContext& ctx,
                 TraceSink& sink) const override {
-    Resolved r(spec);
-    if (!r.ok()) return std::move(r.result);
-    const Network& net = *r.net;
-    HetMetricsSink het(sink, net.fan_in());
-    finish_simulated_stream(r.result, spec, make_exec(spec, net), ctx.arena,
-                            het);
-    if (!r.result.ok()) return std::move(r.result);
-    r.result.metrics["hare_ops"] = static_cast<double>(het.hare_ops());
-    r.result.metrics["other_ops"] = static_cast<double>(het.other_ops());
-    r.result.metrics["hare_sc"] = het.hare_sc() ? 1.0 : 0.0;
-    r.result.metrics["others_sc"] = het.others_sc() ? 1.0 : 0.0;
-    return std::move(r.result);
+    return run_into(spec, ctx, &sink);
   }
 
  private:
-  static TimedExecution make_exec(const RunSpec& spec, const Network& net) {
-    Xoshiro256 rng(spec.seed);
-    TimedExecution exec;
-    exec.net = &net;
-    const std::uint32_t d = net.depth();
-    TokenId next = 0;
-    for (ProcessId p = 0; p < net.fan_in(); ++p) {
-      const double local = p == 0 ? spec.hare_delay : spec.tortoise_delay;
-      double t = 0.0;
-      std::uint32_t k = 0;
-      while (t < spec.horizon) {
-        TokenPlan plan;
-        plan.token = next++;
-        plan.process = p;
-        plan.source = p;
-        plan.rank = k + rng.unit() * 0.9;
-        plan.times.resize(d + 1);
-        plan.times[0] = t;
-        for (std::uint32_t h = 1; h <= d; ++h) {
-          plan.times[h] =
-              plan.times[h - 1] + (rng.below(2) ? spec.c_min : spec.c_max);
-        }
-        t = plan.times[d] + local;
-        exec.plans.push_back(std::move(plan));
-        ++k;
-      }
+  RunResult run_into(const RunSpec& spec, RunContext& ctx,
+                     TraceSink* sink) const {
+    Resolved r(spec);
+    if (!r.ok()) return std::move(r.result);
+    TimedExecution exec = generate_(spec, *r.net);
+    if (!het_metrics_) {
+      finish_simulated(r.result, spec, std::move(exec), ctx.arena, sink);
+      return std::move(r.result);
     }
-    return exec;
+    HetMetricsSink het(sink, r.net->fan_in());
+    finish_simulated(r.result, spec, std::move(exec), ctx.arena,
+                     sink == nullptr ? nullptr : &het);
+    if (!r.result.ok()) return std::move(r.result);
+    if (sink == nullptr) het.on_records(r.result.trace);
+    het.report(r.result);
+    return std::move(r.result);
   }
+
+  std::string name_;
+  std::string description_;
+  Generator generate_;
+  bool het_metrics_;
 };
 
 // ---------------------------------------------------------------------
@@ -1231,9 +1140,22 @@ BackendFactory factory() {
 }  // namespace
 
 void register_builtin_backends() {
-  register_backend("simulator", factory<SimulatorBackend>());
-  register_backend("sim_burst", factory<BurstBackend>());
-  register_backend("sim_heterogeneous", factory<HeterogeneousBackend>());
+  register_backend("simulator", [] {
+    return std::make_unique<SimulatedBackend>(
+        "simulator", "random closed-loop workload through the timed simulator",
+        closed_loop_exec);
+  });
+  register_backend("sim_burst", [] {
+    return std::make_unique<SimulatedBackend>(
+        "sim_burst", "burst workload honoring a global-delay (C_g) floor",
+        burst_exec);
+  });
+  register_backend("sim_heterogeneous", [] {
+    return std::make_unique<SimulatedBackend>(
+        "sim_heterogeneous",
+        "per-process local delays: hare process 0 vs paced tortoises",
+        heterogeneous_exec, /*het_metrics=*/true);
+  });
   register_backend("wave", factory<WaveBackend>());
   register_backend("optimizer", factory<OptimizerBackend>());
   register_backend("msg", factory<MsgBackend>());

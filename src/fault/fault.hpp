@@ -16,8 +16,8 @@
 //     same faults at any sweeper thread count, so degradation curves
 //     are reproducible from a single base seed.
 //
-// The sim-side interpreter that applies SimFaults to a TimedExecution
-// lives in fault/faulted_sim.hpp.
+// fault/faulted_sim.hpp draws the sim-side overlay (SimFaults); the
+// simulator's interpreters (sim/simulator.hpp) apply it.
 #pragma once
 
 #include <cstdint>
