@@ -13,7 +13,9 @@
 //   * perf baselining: bench_micro measures it as the "before" side of the
 //     compiled fast path's steps/sec comparison (BENCH_micro.json).
 //
-// Do not use it in new code paths; it is deliberately slow.
+// It is built as its own library, cn_reference, outside cn_core: only
+// those two targets link it. Do not use it in new code paths; it is
+// deliberately slow.
 #pragma once
 
 #include <cstdint>

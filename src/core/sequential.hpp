@@ -4,8 +4,9 @@
 // NetworkState holds the dynamic part of an execution: balancer round-robin
 // positions, counter values, and in-flight token positions. Callers control
 // the interleaving completely by choosing which token to step next; this is
-// exactly the power the paper's adversary has, and it is what the timed
-// simulator (src/sim) and the proof reconstructions build on.
+// exactly the power the paper's adversary has, and it is what the proof
+// reconstructions build on. (The timed simulator, src/sim, steps the same
+// compiled tables and CompiledState directly.)
 //
 // Routing is delegated to the flat tables of core/compiled.hpp: one
 // CompiledNetwork is built per Network (either privately by the

@@ -149,10 +149,11 @@ struct RunSpec {
   /// When true, the simulated backends (simulator / sim_burst /
   /// sim_heterogeneous, plus the wave and optimizer re-runs of their
   /// built schedule) execute through the level-synchronous wave
-  /// interpreters (simulate_wave / simulate_faulted_wave) instead of the
-  /// scalar event loop. Byte-identical results — trace, errors, streaming emission,
-  /// fault metrics — selected per trial; networks the wave path cannot
-  /// take fall back to the scalar interpreter internally.
+  /// interpreter (simulate_wave_with, with or without the fault overlay)
+  /// instead of the scalar event loop. Byte-identical results — trace,
+  /// errors, streaming emission, fault metrics — selected per trial;
+  /// networks the wave path cannot take fall back to the scalar
+  /// interpreter internally.
   bool wave_exec = false;
   /// When non-empty, the produced trace is also written to this file in
   /// the versioned binary format of trace/serialize.hpp (forces the

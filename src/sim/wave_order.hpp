@@ -1,7 +1,8 @@
 // The canonical step order of a timed execution, produced chunk by chunk
-// for the wave interpreters (simulate_wave, fault::simulate_faulted_wave).
+// for the wave interpreter (simulate_wave_with, pristine or under a fault
+// overlay; sim/simulator.hpp).
 //
-// The scalar interpreters pop steps in the total order (time, rank,
+// The scalar interpreter pops steps in the total order (time, rank,
 // token, hop). The paper's timed-execution model (Section 2.2, rule 3)
 // runs a process's tokens one after another, so every process's steps
 // form one already-sorted run: the process's tokens in hop-0 key order,
@@ -22,8 +23,8 @@
 // only break at a token boundary; a break there means the next token's
 // hop 0 precedes the previous token's last step — the next token enters
 // while the previous one is still in flight, which is the overlap the
-// scalar interpreters reject. build() reports it, and the caller falls
-// back to its scalar interpreter.
+// scalar interpreter rejects. build() reports it, and the caller falls
+// back to the scalar interpreter.
 #pragma once
 
 #include <cstddef>
